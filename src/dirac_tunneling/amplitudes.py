@@ -46,12 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kinematics import (
-    BarrierSystem,
-    Regime,
-    kinematic_point,
-    regime_error,
-)
+from .kinematics import BarrierSystem, _validate
 from .numerics import PhaseTracker
 
 __all__ = [
@@ -140,6 +135,13 @@ class _PhaseParts(NamedTuple):
     hyp: _Hyperbolics
 
 
+def _prepare(E, V0, a, l, mass):
+    """Validate, then (k, q, alpha, phase parts): the one entry to the closed forms."""
+    _validate(E, V0, a, l, mass)
+    k, q, alpha = _extended_kinematics(E, V0, mass)
+    return k, q, alpha, _phase_parts(k, q, alpha, a, l)
+
+
 def _hyperbolics(q, a) -> _Hyperbolics:
     x = np.multiply(q, a)
     e2 = np.exp(-2.0 * x)
@@ -207,21 +209,12 @@ def transmission(E: float, system: BarrierSystem) -> complex:
     complex
         T in the convention T = |T| e^{i[phi_t - k(2a+l)]}.
     """
-    kinematic_point(E, system)  # regime validation
-    k, q, al = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k, q, al, system.a, system.l)
-    u = _scaled_transmission(k, al, system.a, parts)
-    return complex(float(parts.hyp.e2) * u)
+    return scattering_solution(E, system).T
 
 
 def reflection(E: float, system: BarrierSystem) -> complex:
     """Reflection amplitude R; satisfies |T|^2 + |R|^2 = 1."""
-    kinematic_point(E, system)
-    k, q, al = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k, q, al, system.a, system.l)
-    u = _scaled_transmission(k, al, system.a, parts)
-    beta_hat = float(_reflection_ratio(al, parts))
-    return complex(-1.0j * beta_hat * cmath.exp(1.0j * float(k) * system.span) * u)
+    return scattering_solution(E, system).R
 
 
 def transmission_phase(
@@ -236,13 +229,7 @@ def transmission_phase(
     swept phi_t has no pi jumps; the tracker is owned by one sweep and
     must not be shared.
     """
-    kinematic_point(E, system)
-    k, q, al = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k, q, al, system.a, system.l)
-    principal = float(parts.kl - np.arctan2(parts.dlt, parts.gam))
-    if branch_state is None:
-        return principal
-    return branch_state.update(principal)
+    return scattering_solution(E, system, branch_state).phi_t
 
 
 def scattering_solution(
@@ -251,9 +238,7 @@ def scattering_solution(
     branch_state: PhaseTracker | None = None,
 ) -> ScatteringSolution:
     """Amplitudes, probabilities and phase in one evaluation."""
-    kinematic_point(E, system)
-    k, q, al = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k, q, al, system.a, system.l)
+    k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
     u = _scaled_transmission(k, al, system.a, parts)
     beta_hat = _reflection_ratio(al, parts)
     abs_u2 = 64.0 * al**4 / (parts.gam**2 + parts.dlt**2)
@@ -284,10 +269,8 @@ def region_coefficients(E: float, system: BarrierSystem) -> RegionCoefficients:
     is accurate at any qa; B and G underflow to zero once their true
     magnitude drops below the subnormal range.
     """
-    kinematic_point(E, system)
     a, l = system.a, system.l
-    k_l, q_l, al_l = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k_l, q_l, al_l, a, l)
+    k_l, q_l, al_l, parts = _prepare(E, system.V0, a, l, system.mass)
     u = complex(_scaled_transmission(k_l, al_l, a, parts))
     beta_hat = float(_reflection_ratio(al_l, parts))
     k, q, al = float(k_l), float(q_l), float(al_l)
@@ -316,32 +299,6 @@ def region_coefficients(E: float, system: BarrierSystem) -> RegionCoefficients:
     )
 
 
-def _grid_kinematics(E, V0, a, l, mass=1.0):
-    """Broadcast a parameter grid, validate the regime, derive (k, q, alpha).
-
-    The returned (k, q, alpha) are extended-precision arrays.  Raises
-    RegimeError at the first offending grid point.
-    """
-    E, V0, a, l = np.broadcast_arrays(
-        np.asarray(E, dtype=float),
-        np.asarray(V0, dtype=float),
-        np.asarray(a, dtype=float),
-        np.asarray(l, dtype=float),
-    )
-    for mask, regime in (
-        (E <= mass, Regime.BELOW_THRESHOLD),
-        (V0 >= E + mass, Regime.SUPERCRITICAL),
-        (V0 <= E - mass, Regime.ABOVE_BARRIER),
-    ):
-        if np.any(mask):
-            i = int(np.flatnonzero(mask)[0])
-            raise regime_error(
-                regime, f"grid index {i}: E={E.flat[i]:g}, V0={V0.flat[i]:g}"
-            )
-    k, q, alpha = _extended_kinematics(E, V0, mass)
-    return E, V0, a, l, k, q, alpha
-
-
 def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     """Vectorized amplitudes over broadcastable parameter arrays.
 
@@ -362,11 +319,12 @@ def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
 
     Raises
     ------
-    RegimeError
-        At the first grid point outside the evanescent window.
+    ValueError
+        At the first non-finite input or negative width, or as
+        RegimeError at the first grid point outside the evanescent window.
     """
-    E, V0, a, l, k, q, alpha = _grid_kinematics(E, V0, a, l, mass)
-    parts = _phase_parts(k, q, alpha, a, l)
+    E, V0, a, l = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (E, V0, a, l)))
+    k, q, alpha, parts = _prepare(E, V0, a, l, mass)
     u = _scaled_transmission(k, alpha, a, parts)
     beta_hat = _reflection_ratio(alpha, parts)
     abs_u2 = 64.0 * alpha**4 / (parts.gam**2 + parts.dlt**2)
@@ -383,28 +341,3 @@ def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
         "magT2": (parts.hyp.e4 * abs_u2).astype(float),
         "magR2": (beta_hat**2 * abs_u2).astype(float),
     }
-
-
-def _transmission_direct(E: float, system: BarrierSystem) -> complex:
-    # Unrescaled evaluation; overflows past qa ~ 300. Test reference only.
-    kp = kinematic_point(E, system)
-    a, l = system.a, system.l
-    k, q, al = kp.k, kp.q, kp.alpha
-    one = 1.0 + al * al
-    sh = math.sinh(q * a)
-    gamma = 8.0 * al * al * math.cosh(2.0 * q * a) - 4.0 * one * one * math.sin(k * l) ** 2 * sh * sh
-    delta = 4.0 * al * (1.0 - al * al) * math.sinh(2.0 * q * a) + 2.0 * one * one * math.sin(
-        2.0 * k * l
-    ) * sh * sh
-    return 8.0 * al * al * cmath.exp(-2.0j * k * a) / (gamma + 1.0j * delta)
-
-
-def _reflection_direct(E: float, system: BarrierSystem) -> complex:
-    kp = kinematic_point(E, system)
-    a, l = system.a, system.l
-    k, q, al = kp.k, kp.q, kp.alpha
-    sh, ch = math.sinh(q * a), math.cosh(q * a)
-    beta = ((1.0 + al * al) / al) * sh * (
-        math.cos(k * l) * ch + ((1.0 - al * al) / (2.0 * al)) * math.sin(k * l) * sh
-    )
-    return beta * cmath.exp(1.0j * (k * system.span - 0.5 * math.pi)) * _transmission_direct(E, system)

@@ -26,6 +26,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "BarrierSystem",
     "KinematicPoint",
@@ -53,12 +55,14 @@ class RegimeError(ValueError):
     """A computation was requested outside its regime of validity.
 
     Carries the offending :class:`Regime` so callers (notably the CLI) can
-    report the classification without re-deriving it.
+    report the classification without re-deriving it, and for array input
+    the flat ``index`` of the first offending point (None for a scalar).
     """
 
-    def __init__(self, regime: Regime, message: str):
+    def __init__(self, regime: Regime, message: str, index: int | None = None):
         super().__init__(message)
         self.regime = regime
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -124,12 +128,15 @@ def classify_regime(E: float, system: BarrierSystem) -> Regime:
     assigned to the adjacent non-computable regime, since k = 0 or q = 0
     make the scattering formulas singular.
     """
-    m = system.mass
+    return _classify(E, system.V0, system.mass)
+
+
+def _classify(E: float, V0: float, m: float) -> Regime:
     if E <= m:
         return Regime.BELOW_THRESHOLD
-    if system.V0 >= E + m:
+    if V0 >= E + m:
         return Regime.SUPERCRITICAL
-    if system.V0 <= E - m:
+    if V0 <= E - m:
         return Regime.ABOVE_BARRIER
     return Regime.EVANESCENT_PARTICLE
 
@@ -141,7 +148,9 @@ _REGIME_MESSAGES = {
 }
 
 
-def regime_error(regime: Regime, detail: str | None = None) -> RegimeError:
+def regime_error(
+    regime: Regime, detail: str | None = None, index: int | None = None
+) -> RegimeError:
     """Build the standard error for a non-computable regime.
 
     ``detail``, if given, is appended in parentheses; the bare message is
@@ -150,13 +159,36 @@ def regime_error(regime: Regime, detail: str | None = None) -> RegimeError:
     message = _REGIME_MESSAGES[regime]
     if detail:
         message = f"{message} ({detail})"
-    return RegimeError(regime, message)
+    return RegimeError(regime, message, index)
 
 
-def _require_evanescent(E: float, system: BarrierSystem) -> None:
-    regime = classify_regime(E, system)
-    if regime is not Regime.EVANESCENT_PARTICLE:
-        raise regime_error(regime)
+def _validate(E, V0, a, l, mass) -> None:
+    """Reject any point the closed forms cannot evaluate.
+
+    Accepts Python floats and broadcastable arrays alike.  The test is
+    written with comparisons only, so NaN fails every one of them and
+    needs no separate check; for Python floats ``ok`` is a plain bool and
+    a valid point costs a handful of comparisons.  On failure the first
+    offending point raises ValueError (non-finite input, negative width)
+    or RegimeError (outside the evanescent window).
+    """
+    ok = (
+        (E > mass) & (V0 < E + mass) & (V0 > E - mass)
+        & (0.0 <= a) & (a < math.inf) & (0.0 <= l) & (l < math.inf)
+    )
+    if ok is True or np.all(ok):
+        return
+    points = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (E, V0, a, l, mass)))
+    i = None if np.ndim(ok) == 0 else int(np.flatnonzero(~np.broadcast_to(ok, points[0].shape))[0])
+    e, v, w, s, m = (float(x.flat[i or 0]) for x in points)
+    where = "" if i is None else f" (grid index {i})"
+    for name, value in zip(("E", "V0", "a", "l", "mass"), (e, v, w, s, m)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}{where}")
+    if w < 0.0 or s < 0.0:
+        raise ValueError(f"widths a and l must be >= 0, got a={w}, l={s}{where}")
+    detail = None if i is None else f"grid index {i}: E={e:g}, V0={v:g}"
+    raise regime_error(_classify(e, v, m), detail, i)
 
 
 def wavenumber_k(E: float, system: BarrierSystem) -> float:
@@ -197,16 +229,12 @@ def alpha(E: float, system: BarrierSystem) -> float:
     Strictly positive in the evanescent-particle regime and strictly
     decreasing in V0 at fixed E.
     """
-    _require_evanescent(E, system)
-    m = system.mass
-    k = wavenumber_k(E, system)
-    q = decay_q(E, system)
-    return (k / q) * (E - system.V0 + m) / (E + m)
+    return kinematic_point(E, system).alpha
 
 
 def kinematic_point(E: float, system: BarrierSystem) -> KinematicPoint:
     """Bundle (E, k, q, alpha) after validating the regime."""
-    _require_evanescent(E, system)
+    _validate(E, system.V0, system.a, system.l, system.mass)
     m = system.mass
     k = math.sqrt((E - m) * (E + m))
     diff = E - system.V0

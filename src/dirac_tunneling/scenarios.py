@@ -30,12 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import (
-    BarrierSystem,
-    Regime,
-    classify_regime,
-    regime_error,
-)
+from .kinematics import BarrierSystem, RegimeError, regime_error
 from .numerics import continue_branch, golden_section_min
 from .amplitudes import bulk_amplitudes
 from .times import (
@@ -135,17 +130,13 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
     E, V0, a, l = _sweep_arrays(spec, grid)
     mass = spec.system.mass
 
-    E_pts = np.broadcast_to(np.asarray(E, dtype=float), grid.shape)
-    V0_pts = np.broadcast_to(np.asarray(V0, dtype=float), grid.shape)
-    for i in range(grid.size):
-        probe = BarrierSystem(V0=float(V0_pts[i]), a=0.0, l=0.0, mass=mass)
-        regime = classify_regime(float(E_pts[i]), probe)
-        if regime is not Regime.EVANESCENT_PARTICLE:
-            raise regime_error(
-                regime, f"sweep point {spec.swept}={grid[i]:g} (index {i})"
-            )
-
-    data = _bulk_times(E, V0, a, l, mass)
+    try:
+        data = _bulk_times(E, V0, a, l, mass)
+    except RegimeError as exc:
+        i = exc.index
+        raise regime_error(
+            exc.regime, f"sweep point {spec.swept}={grid[i]:g} (index {i})", i
+        ) from None
     phi = continue_branch(data["phi_t"])
 
     tau_p_nr = None

@@ -34,15 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import (
-    _extended_kinematics,
-    _grid_kinematics,
     _phase_parts,
     _PhaseParts,
+    _prepare,
     _reflection_ratio,
     _scaled_transmission,
 )
-from .kinematics import BarrierSystem, kinematic_point, wavenumber_k
-from .numerics import phase_derivative
+from .kinematics import BarrierSystem, kinematic_point
 
 __all__ = [
     "AppendixTerms",
@@ -179,9 +177,7 @@ def phase_time_closed(E: float, system: BarrierSystem) -> float:
     differentiation accuracy, but stays exact in the opaque regime where
     finite differences lose the signal.
     """
-    kinematic_point(E, system)  # regime validation
-    k, q, al = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k, q, al, system.a, system.l)
+    k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
     return float(
         _tau_p_from(E, system.V0, system.mass, k, q, al, system.a, system.l, parts)
     )
@@ -189,9 +185,7 @@ def phase_time_closed(E: float, system: BarrierSystem) -> float:
 
 def appendix_terms(E: float, system: BarrierSystem) -> AppendixTerms:
     """The rescaled (Gamma, Delta, h1, h2, h3) at one parameter point."""
-    kinematic_point(E, system)
-    k, q, al = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k, q, al, system.a, system.l)
+    k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
     b_delta, b_gamma = _brace_terms(
         E, system.V0, system.mass, k, q, al, system.a, parts
     )
@@ -236,27 +230,17 @@ def self_interference_delay(E: float, system: BarrierSystem) -> float:
     at every call; the Im R value is returned.  Vanishes at resonances
     (R = 0) and for a = 0.
     """
-    kinematic_point(E, system)
-    k, q, al = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k, q, al, system.a, system.l)
-    return float(
-        _tau_i_dual(E, system.mass, k, al, system.a, system.span, parts)
-    )
+    return time_report(E, system).tau_i
 
 
 def dwell_time(E: float, system: BarrierSystem) -> float:
     """Dwell time tau_d = tau_p - tau_i; positive in the evanescent regime."""
-    kinematic_point(E, system)
-    k, q, al = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k, q, al, system.a, system.l)
-    tau_p = _tau_p_from(E, system.V0, system.mass, k, q, al, system.a, system.l, parts)
-    tau_i = _tau_i_dual(E, system.mass, k, al, system.a, system.span, parts)
-    return float(tau_p) - float(tau_i)
+    return time_report(E, system).tau_d
 
 
 def free_transit_time(E: float, system: BarrierSystem) -> float:
     """Crossing time of the span at the free group velocity k/E."""
-    return system.span * E / wavenumber_k(E, system)
+    return system.span * E / kinematic_point(E, system).k
 
 
 def light_transit_time(system: BarrierSystem) -> float:
@@ -266,15 +250,13 @@ def light_transit_time(system: BarrierSystem) -> float:
 
 def time_report(E: float, system: BarrierSystem) -> TimeReport:
     """All time scales at one parameter point."""
-    kp = kinematic_point(E, system)
-    k, q, al = _extended_kinematics(E, system.V0, system.mass)
-    parts = _phase_parts(k, q, al, system.a, system.l)
+    k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
     tau_p = _tau_p_from(E, system.V0, system.mass, k, q, al, system.a, system.l, parts)
     tau_i = _tau_i_dual(E, system.mass, k, al, system.a, system.span, parts)
     return TimeReport.from_split(
         tau_p=tau_p,
         tau_i=tau_i,
-        t_free=system.span * E / kp.k,
+        t_free=system.span * E / float(k),
         t_light=system.span,
     )
 
@@ -318,31 +300,16 @@ def _nr_phase(E_kin, V0, a, l, mass):
     return parts.kl - np.arctan2(parts.dlt, parts.gam)
 
 
-def _require_nr_window(E_kin: float, system: BarrierSystem, margin: float = 0.0) -> None:
-    if not (margin < E_kin < system.V0 - margin):
-        raise ValueError(
-            f"nonrelativistic window requires 0 < E_kin < V0 "
-            f"(with derivative margin {margin:g}), got E_kin={E_kin}, V0={system.V0}"
-        )
-
-
 def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
     """Time scales in the Schroedinger limit at kinetic energy E_kin.
 
     Uses k = sqrt(2 m E_kin), q = sqrt(2 m (V0 - E_kin)) and alpha = k/q
     in the same phase and amplitude structure as the relativistic case.
-    The phase time is obtained by the shared Richardson differentiator
-    (relative step 1e-6 in E_kin); tau_i again equals -(m/k^2) Im R.
+    The phase time is the Richardson derivative of the vectorized sweep
+    path (relative step 1e-6 in E_kin); tau_i again equals -(m/k^2) Im R.
     ``t_free`` uses the nonrelativistic velocity k/m.
     """
-    h = 1e-6 * E_kin
-    _require_nr_window(E_kin, system, margin=h)
-    tau_p = phase_derivative(
-        lambda x: float(_nr_phase(x, system.V0, system.a, system.l, system.mass)),
-        E_kin,
-        h,
-        period=math.pi,
-    )
+    tau_p = _bulk_nr_phase_time(E_kin, system.V0, system.a, system.l, system.mass)
     k, q, alpha = _nr_kinematics(E_kin, system.V0, system.mass)
     parts = _phase_parts(k, q, alpha, system.a, system.l)
     u = _scaled_transmission(k, alpha, system.a, parts)
@@ -367,7 +334,7 @@ def _bulk_nr_phase_time(E_kin, V0, a, l, mass=1.0) -> np.ndarray:
         np.asarray(l, dtype=float),
     )
     h = 1e-6 * E_kin
-    if np.any(E_kin - h <= 0.0) or np.any(E_kin + h >= V0):
+    if not np.all((E_kin - h > 0.0) & (E_kin + h < V0)):
         raise ValueError(
             "nonrelativistic window requires 0 < E_kin < V0 across the grid "
             "(including the derivative stencil)"
@@ -385,8 +352,8 @@ def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     Returns arrays tau_p, tau_i, tau_d, t_free, t_light, magT2 and the
     principal-branch phi_t (branch continuation is the caller's job).
     """
-    E, V0, a, l, k, q, alpha = _grid_kinematics(E, V0, a, l, mass)
-    parts = _phase_parts(k, q, alpha, a, l)
+    E, V0, a, l = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (E, V0, a, l)))
+    k, q, alpha, parts = _prepare(E, V0, a, l, mass)
     span = 2.0 * a + l
     tau_p = np.asarray(_tau_p_from(E, V0, mass, k, q, alpha, a, l, parts), dtype=float)
     tau_i = np.asarray(_tau_i_dual(E, mass, k, alpha, a, span, parts), dtype=float)

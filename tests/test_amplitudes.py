@@ -17,7 +17,6 @@ from dirac_tunneling import (
     transmission,
     transmission_phase,
 )
-from dirac_tunneling.amplitudes import _reflection_direct, _transmission_direct
 from dirac_tunneling.numerics import continue_branch
 
 SYS_2A = BarrierSystem(V0=1.5, a=0.7, l=0.7)
@@ -81,6 +80,31 @@ def test_transmission_decay_rate():
     t20 = transmission(1.8, BarrierSystem(V0=1.5, a=20.0, l=0.7))
     t21 = transmission(1.8, BarrierSystem(V0=1.5, a=21.0, l=0.7))
     assert abs(t21) / abs(t20) == pytest.approx(math.exp(-2.0 * kp.q), rel=1e-9)
+
+
+def _transmission_direct(E: float, system: BarrierSystem) -> complex:
+    # Unrescaled textbook evaluation; overflows past qa ~ 300. Reference only.
+    kp = kinematic_point(E, system)
+    a, l = system.a, system.l
+    k, q, al = kp.k, kp.q, kp.alpha
+    one = 1.0 + al * al
+    sh = math.sinh(q * a)
+    gamma = 8.0 * al * al * math.cosh(2.0 * q * a) - 4.0 * one * one * math.sin(k * l) ** 2 * sh * sh
+    delta = 4.0 * al * (1.0 - al * al) * math.sinh(2.0 * q * a) + 2.0 * one * one * math.sin(
+        2.0 * k * l
+    ) * sh * sh
+    return 8.0 * al * al * cmath.exp(-2.0j * k * a) / (gamma + 1.0j * delta)
+
+
+def _reflection_direct(E: float, system: BarrierSystem) -> complex:
+    kp = kinematic_point(E, system)
+    a, l = system.a, system.l
+    k, q, al = kp.k, kp.q, kp.alpha
+    sh, ch = math.sinh(q * a), math.cosh(q * a)
+    beta = ((1.0 + al * al) / al) * sh * (
+        math.cos(k * l) * ch + ((1.0 - al * al) / (2.0 * al)) * math.sin(k * l) * sh
+    )
+    return beta * cmath.exp(1.0j * (k * system.span - 0.5 * math.pi)) * _transmission_direct(E, system)
 
 
 @pytest.mark.parametrize("a", [0.3, 2.0, 20.0, 100.0, 300.0])

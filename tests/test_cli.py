@@ -1,5 +1,7 @@
 """Command line interface: argument handling, file formats, exit codes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,12 @@ def test_point_regime_failure(capsys):
 def test_point_below_threshold(capsys):
     assert main(["point", "--E", "0.6", "--V0", "1.5", "--a", "1.0", "--l", "0.0"]) == 2
     assert "BelowThreshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("energy", ["nan", "inf"])
+def test_point_rejects_non_finite_energy(energy, capsys):
+    assert main(["point", "--E", energy, "--V0", "1.5", "--a", "0.7", "--l", "0.7"]) == 2
+    assert "E must be finite" in capsys.readouterr().err
 
 
 def test_missing_required_arguments():
@@ -119,6 +127,28 @@ def test_figure_csv_file(tmp_path, capsys):
     assert lines[0] == ("swept,tau_p,tau_d,tau_i,t_free,t_light,T2,"
                         "tau_p_nr,tau_p_opaque,tau_d_opaque")
     assert len(lines) == 601
+
+
+# SHA-256 of the canonical `figure <id> --out` files.  They hold for the
+# 80-bit x87 longdouble build (x86 Linux); a longdouble of another width
+# rounds the extended-precision intermediates differently.
+FIGURE_SHA256 = {
+    "2A": "b3517a87195d1253c91954f99a00f2eda7eb870e862b91bbe00c47772c2ef987",
+    "2B": "25757d43d4b1ec931f418e1c887c46760702a26690c6a000041e1cf084a17537",
+    "2C": "6fdc70dcf92da5b50f3e79f7d2673cbc871bae42291c9db2424e60e9d1c29f76",
+    "3A": "50a1f062e4071f8954d032753f445f71a6f87cef6f922df223ff00f528fadcd6",
+    "3B": "44cf8491c1fb15800b470c7ab099d896545389ef0fe45c26e50648487eb55215",
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63, reason="hashes pinned for the 80-bit longdouble build"
+)
+@pytest.mark.parametrize("which", sorted(FIGURE_SHA256))
+def test_figure_csv_bytes_pinned(which, tmp_path):
+    out = tmp_path / f"{which}.csv"
+    assert main(["figure", which, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[which]
 
 
 def test_csv_round_trip(tmp_path):
