@@ -32,9 +32,10 @@ to double only at the API boundary.  This keeps |T|^2 + |R|^2 - 1 at the
 plain double would lose up to five digits there.
 
 Phases computed by atan2 are defined modulo pi.  Single-point calls return
-the principal branch; sweep drivers thread a PhaseTracker through
-`transmission_phase` / `scattering_solution` to continue the branch
-smoothly along a grid.
+the principal branch; a caller stepping through points one at a time can
+thread a PhaseTracker through `transmission_phase` / `scattering_solution`,
+and `scenarios.run_sweep` unwraps the whole bulk phase array with
+`numerics.continue_branch`.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -126,13 +128,29 @@ class _Hyperbolics(NamedTuple):
     s4: np.ndarray        # sinh(4qa) e^{-4qa}
 
 
-class _PhaseParts(NamedTuple):
-    """Rescaled numerator/denominator pair of the transmission phase."""
+class _computed_once(cached_property):
+    """cached_property without the lock it takes per first use before Python 3.12."""
 
-    gam: np.ndarray       # Gamma e^{-2qa}
-    dlt: np.ndarray       # Delta e^{-2qa}
-    kl: np.ndarray
-    hyp: _Hyperbolics
+    def __get__(self, obj, owner=None):
+        obj.__dict__[self.attrname] = value = self.func(obj)
+        return value
+
+
+class _PhaseParts:
+    """Rescaled numerator/denominator pair of the phase, and the trig of kl once each."""
+
+    def __init__(self, gam, dlt, kl, hyp, sin_kl, sin_2kl):
+        self.gam, self.dlt = gam, dlt     # Gamma e^{-2qa}, Delta e^{-2qa}
+        self.kl, self.hyp, self.sin_kl, self.sin_2kl = kl, hyp, sin_kl, sin_2kl
+
+    # On first use only: the NR phase reads neither cosine, the phase time only cos 2kl.
+    @_computed_once
+    def cos_kl(self):
+        return np.cos(self.kl)
+
+    @_computed_once
+    def cos_2kl(self):
+        return np.cos(2.0 * self.kl)
 
 
 def _prepare(E, V0, a, l, mass):
@@ -140,6 +158,11 @@ def _prepare(E, V0, a, l, mass):
     _validate(E, V0, a, l, mass)
     k, q, alpha = _extended_kinematics(E, V0, mass)
     return k, q, alpha, _phase_parts(k, q, alpha, a, l)
+
+
+def _full_shape(x, like):
+    """Array or numpy scalar ``x`` as a fresh array shaped like ``like`` (itself if it is)."""
+    return x if x.shape == like.shape else np.broadcast_to(x, like.shape).copy()
 
 
 def _hyperbolics(q, a) -> _Hyperbolics:
@@ -165,9 +188,10 @@ def _phase_parts(k, q, alpha, a, l) -> _PhaseParts:
     al2 = np.square(alpha)
     one = 1.0 + al2
     sin_kl = np.sin(kl)
+    sin_2kl = np.sin(2.0 * kl)
     gam = 8.0 * al2 * hyp.c2 - 4.0 * one * one * sin_kl * sin_kl * hyp.s1sq
-    dlt = 4.0 * alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * np.sin(2.0 * kl) * hyp.s1sq
-    return _PhaseParts(gam=gam, dlt=dlt, kl=kl, hyp=hyp)
+    dlt = 4.0 * alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * sin_2kl * hyp.s1sq
+    return _PhaseParts(gam, dlt, kl, hyp, sin_kl, sin_2kl)
 
 
 def _scaled_transmission(k, alpha, a, parts: _PhaseParts):
@@ -189,8 +213,8 @@ def _reflection_ratio(alpha, parts: _PhaseParts):
     al2 = np.square(alpha)
     hyp = parts.hyp
     return ((1.0 + al2) / alpha) * (
-        0.5 * np.cos(parts.kl) * hyp.s2
-        + ((1.0 - al2) / (2.0 * alpha)) * np.sin(parts.kl) * hyp.s1sq
+        0.5 * parts.cos_kl * hyp.s2
+        + ((1.0 - al2) / (2.0 * alpha)) * parts.sin_kl * hyp.s1sq
     )
 
 
@@ -305,17 +329,20 @@ def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     Parameters
     ----------
     E, V0, a, l : array_like
-        Energies and barrier parameters, broadcast to a common shape.
-        Every point must lie in the evanescent regime.
+        Energies and barrier parameters, broadcastable to a common shape.
+        Every point must lie in the evanescent regime.  The inputs are not
+        broadcast up front: each intermediate is evaluated on the shape of
+        the inputs it depends on (k on E, the hyperbolics on E, V0, a), so
+        a width or separation sweep pays the trig or the exponentials once.
     mass : float, optional
         Common rest mass.
 
     Returns
     -------
     dict of ndarray
-        Keys k, q, alpha, T, R, phi_t, magT2, magR2.  ``phi_t`` holds the
-        principal branch per point; branch continuation along an ordered
-        sweep is the caller's job.
+        Keys k, q, alpha, T, R, phi_t, magT2, magR2, each of the full
+        broadcast shape.  ``phi_t`` holds the principal branch per point;
+        branch continuation along an ordered sweep is the caller's job.
 
     Raises
     ------
@@ -323,7 +350,7 @@ def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
         At the first non-finite input or negative width, or as
         RegimeError at the first grid point outside the evanescent window.
     """
-    E, V0, a, l = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (E, V0, a, l)))
+    E, V0, a, l = (np.asarray(x, dtype=float) for x in (E, V0, a, l))
     k, q, alpha, parts = _prepare(E, V0, a, l, mass)
     u = _scaled_transmission(k, alpha, a, parts)
     beta_hat = _reflection_ratio(alpha, parts)
@@ -332,9 +359,9 @@ def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     k_d = k.astype(float)
     span = 2.0 * a + l
     return {
-        "k": k_d,
-        "q": q.astype(float),
-        "alpha": alpha.astype(float),
+        "k": _full_shape(k_d, u),
+        "q": _full_shape(q.astype(float), u),
+        "alpha": _full_shape(alpha.astype(float), u),
         "T": parts.hyp.e2.astype(float) * u,
         "R": -1.0j * beta_d * np.exp(1.0j * k_d * span) * u,
         "phi_t": (parts.kl - np.arctan2(parts.dlt, parts.gam)).astype(float),

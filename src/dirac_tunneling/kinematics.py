@@ -196,11 +196,14 @@ def wavenumber_k(E: float, system: BarrierSystem) -> float:
 
     Raises
     ------
-    RegimeError
-        If E <= mass (no propagating incident wave).
+    ValueError
+        If E is not finite, or as RegimeError if E <= mass (no
+        propagating incident wave).
     """
     m = system.mass
-    if E <= m:
+    if not math.isfinite(E):
+        raise ValueError(f"E must be finite, got {E!r}")
+    if not E > m:
         raise RegimeError(Regime.BELOW_THRESHOLD, _REGIME_MESSAGES[Regime.BELOW_THRESHOLD])
     return math.sqrt((E - m) * (E + m))
 
@@ -210,15 +213,18 @@ def decay_q(E: float, system: BarrierSystem) -> float:
 
     Raises
     ------
-    RegimeError
-        If |E - V0| >= mass: either the barrier is supercritical
-        (V0 >= E + m) or the particle passes above it (V0 <= E - m).
+    ValueError
+        If E is not finite, or as RegimeError if |E - V0| >= mass: either
+        the barrier is supercritical (V0 >= E + m) or the particle passes
+        above it (V0 <= E - m).
     """
     m = system.mass
+    if not math.isfinite(E):
+        raise ValueError(f"E must be finite, got {E!r}")
     diff = E - system.V0
-    if diff <= -m:
+    if not diff > -m:
         raise RegimeError(Regime.SUPERCRITICAL, _REGIME_MESSAGES[Regime.SUPERCRITICAL])
-    if diff >= m:
+    if not diff < m:
         raise RegimeError(Regime.ABOVE_BARRIER, _REGIME_MESSAGES[Regime.ABOVE_BARRIER])
     return math.sqrt((m - diff) * (m + diff))
 

@@ -100,8 +100,9 @@ def adaptive_simpson(
 
     Returns (value, error_estimate) where the estimate is the accumulated
     |S_fine - S_coarse| / 15 over accepted panels.  The local acceptance
-    threshold is rtol * |running integral| + atol, distributed over the
-    panel's share of the interval.
+    threshold is rtol * max(|S|, atol / rtol) + atol, with S the
+    one-panel Simpson estimate over [a, b], distributed over the panel's
+    share of the interval.
     """
     if b <= a:
         return 0.0, 0.0
@@ -109,7 +110,7 @@ def adaptive_simpson(
     mid = 0.5 * (a + b)
     fm = f(mid)
     whole = _simpson(fa, fm, fb, b - a)
-    # Scale for the relative test; refined as better estimates accumulate.
+    # Scale for the relative test, fixed from the one-panel estimate.
     scale = max(abs(whole), atol / max(rtol, 1e-300))
 
     def recurse(lo, flo, hi, fhi, fmid, coarse, depth):

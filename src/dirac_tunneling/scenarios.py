@@ -157,8 +157,8 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
         tau_p=data["tau_p"],
         tau_d=data["tau_d"],
         tau_i=data["tau_i"],
-        t_free=np.broadcast_to(data["t_free"], grid.shape).copy(),
-        t_light=np.broadcast_to(data["t_light"], grid.shape).copy(),
+        t_free=data["t_free"],
+        t_light=data["t_light"],
         magT2=data["magT2"],
         phi_t=phi,
         tau_p_nr=tau_p_nr,

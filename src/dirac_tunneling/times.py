@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import (
+    _full_shape,
     _phase_parts,
     _PhaseParts,
     _prepare,
@@ -117,8 +118,8 @@ def _brace_terms(E, V0, mass, k, q, alpha, a, parts: _PhaseParts):
     al2 = np.square(alpha)
     P = 1.0 + al2
     kl2 = 2.0 * parts.kl
-    s2l = np.sin(kl2)
-    c2l = np.cos(kl2)
+    s2l = parts.sin_2kl
+    c2l = parts.cos_2kl
     ksq = np.square(k)
     qsq = np.square(q)
     ksum = ksq + qsq
@@ -144,10 +145,10 @@ def _h2_h3(alpha, parts: _PhaseParts):
     hyp = parts.hyp
     al2 = np.square(alpha)
     al4 = al2 * al2
-    s_kl = np.sin(parts.kl)
-    c_kl = np.cos(parts.kl)
-    s2l = np.sin(2.0 * parts.kl)
-    c2l = np.cos(2.0 * parts.kl)
+    s_kl = parts.sin_kl
+    c_kl = parts.cos_kl
+    s2l = parts.sin_2kl
+    c2l = parts.cos_2kl
     h2 = (
         0.5 * alpha * (1.0 - al2) * s2l * hyp.s2 * hyp.s2
         + al2 * c_kl * c_kl * hyp.s4
@@ -199,8 +200,12 @@ def appendix_terms(E: float, system: BarrierSystem) -> AppendixTerms:
     )
 
 
-def _tau_i_dual(E, mass, k, alpha, a, span, parts: _PhaseParts):
-    """Both tau_i forms with the built-in agreement check."""
+def _tau_i_dual(E, V0, a, l, mass, k, alpha, span, parts: _PhaseParts):
+    """Both tau_i forms with the built-in agreement check.
+
+    On failure the message names the worst point: its flat index in the
+    full broadcast shape (for array input) and its (E, V0, a, l).
+    """
     u = _scaled_transmission(k, alpha, a, parts)
     beta_d = np.asarray(_reflection_ratio(alpha, parts), dtype=float)
     k_d = np.asarray(k, dtype=float)
@@ -216,9 +221,13 @@ def _tau_i_dual(E, mass, k, alpha, a, span, parts: _PhaseParts):
     scale = np.maximum(np.maximum(np.abs(from_r), np.abs(from_h)), mass / np.square(k_d))
     bad = deviation > _CONSISTENCY_TOL * scale
     if np.any(bad):
-        worst = float(np.max(deviation / scale))
+        ratio = deviation / scale
+        i = int(np.argmax(ratio))
+        e, v, w, s = (float(np.broadcast_to(x, ratio.shape).flat[i]) for x in (E, V0, a, l))
+        where = "" if ratio.ndim == 0 else f" at grid index {i}"
         raise ConsistencyError(
-            f"self-interference delay dual forms disagree (relative {worst:.3e})"
+            f"self-interference delay dual forms disagree (relative {ratio.flat[i]:.3e})"
+            f"{where}: E={e!r}, V0={v!r}, a={w!r}, l={s!r}"
         )
     return from_r
 
@@ -252,7 +261,7 @@ def time_report(E: float, system: BarrierSystem) -> TimeReport:
     """All time scales at one parameter point."""
     k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
     tau_p = _tau_p_from(E, system.V0, system.mass, k, q, al, system.a, system.l, parts)
-    tau_i = _tau_i_dual(E, system.mass, k, al, system.a, system.span, parts)
+    tau_i = _tau_i_dual(E, system.V0, system.a, system.l, system.mass, k, al, system.span, parts)
     return TimeReport.from_split(
         tau_p=tau_p,
         tau_i=tau_i,
@@ -326,13 +335,9 @@ def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
 
 
 def _bulk_nr_phase_time(E_kin, V0, a, l, mass=1.0) -> np.ndarray:
-    """Vectorized NR phase time over broadcastable parameter arrays."""
-    E_kin, V0, a, l = np.broadcast_arrays(
-        np.asarray(E_kin, dtype=float),
-        np.asarray(V0, dtype=float),
-        np.asarray(a, dtype=float),
-        np.asarray(l, dtype=float),
-    )
+    """Vectorized NR phase time; the stencil is a new leading axis of the un-broadcast E_kin."""
+    E_kin, V0, a, l = (np.asarray(x, dtype=float) for x in (E_kin, V0, a, l))
+    E_kin = E_kin[(np.newaxis,) * (max(V0.ndim, a.ndim, l.ndim) - E_kin.ndim)]
     h = 1e-6 * E_kin
     if not np.all((E_kin - h > 0.0) & (E_kin + h < V0)):
         raise ValueError(
@@ -350,20 +355,22 @@ def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     """Vectorized time scales over broadcastable parameter arrays.
 
     Returns arrays tau_p, tau_i, tau_d, t_free, t_light, magT2 and the
-    principal-branch phi_t (branch continuation is the caller's job).
+    principal-branch phi_t (branch continuation is the caller's job), each
+    of the full broadcast shape.  As in `bulk_amplitudes`, intermediates
+    are evaluated on the shape of the inputs they depend on.
     """
-    E, V0, a, l = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (E, V0, a, l)))
+    E, V0, a, l = (np.asarray(x, dtype=float) for x in (E, V0, a, l))
     k, q, alpha, parts = _prepare(E, V0, a, l, mass)
     span = 2.0 * a + l
     tau_p = np.asarray(_tau_p_from(E, V0, mass, k, q, alpha, a, l, parts), dtype=float)
-    tau_i = np.asarray(_tau_i_dual(E, mass, k, alpha, a, span, parts), dtype=float)
+    tau_i = np.asarray(_tau_i_dual(E, V0, a, l, mass, k, alpha, span, parts), dtype=float)
     abs_u2 = 64.0 * alpha**4 / (parts.gam**2 + parts.dlt**2)
     return {
         "tau_p": tau_p,
         "tau_i": tau_i,
         "tau_d": tau_p - tau_i,
         "t_free": (span * E / k).astype(float),
-        "t_light": span,
+        "t_light": _full_shape(span, tau_p),
         "magT2": (parts.hyp.e4 * abs_u2).astype(float),
         "phi_t": (parts.kl - np.arctan2(parts.dlt, parts.gam)).astype(float),
     }

@@ -110,6 +110,19 @@ def test_decay_q_rejects_propagating_barrier():
         decay_q(1.8, sys_for(3.0))  # supercritical
 
 
+@pytest.mark.parametrize("func", [wavenumber_k, decay_q])
+@pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+def test_partial_kinematics_reject_non_finite_energy(func, E):
+    with pytest.raises(ValueError, match="E must be finite"):
+        func(E, sys_for(1.5))
+
+
+def test_partial_kinematics_keep_their_own_domain():
+    # k needs only E > m and q only |E - V0| < m: each works where the other fails
+    assert wavenumber_k(1.8, sys_for(0.5)) == pytest.approx(math.sqrt(1.8**2 - 1.0), rel=1e-15)
+    assert decay_q(0.9, sys_for(0.5)) == pytest.approx(math.sqrt(1.0 - 0.4**2), rel=1e-15)
+
+
 def test_barrier_system_validation():
     s = BarrierSystem(V0=1.5, a=0.7, l=0.7)
     assert s.mass == 1.0

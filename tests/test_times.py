@@ -118,8 +118,20 @@ def test_interference_guard_trips_on_corruption(monkeypatch):
         return h2 * (1.0 + 1e-3), h3
 
     monkeypatch.setattr(times_mod, "_h2_h3", bad)
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="E=1.8, V0=1.5, a=0.7, l=0.7"):
         self_interference_delay(1.8, BarrierSystem(V0=1.5, a=0.7, l=0.7))
+
+    # on a grid the message also names the worst point's flat index
+    def bad_at_1(alpha, parts):
+        h2, h3 = orig(alpha, parts)
+        return h2 * np.array([1.0, 1.0 + 1e-3, 1.0]), h3
+
+    monkeypatch.setattr(times_mod, "_h2_h3", bad_at_1)
+    with pytest.raises(ConsistencyError) as exc:
+        _bulk_times(1.8, 1.5, [0.5, 1.25, 2.0], 0.7)
+    message = str(exc.value)
+    assert message.startswith("self-interference delay dual forms disagree (relative ")
+    assert "grid index 1: E=1.8, V0=1.5, a=1.25, l=0.7" in message
 
 
 def test_dwell_positive_on_random_grid():
