@@ -208,6 +208,11 @@ def _scaled_transmission(k, alpha, a, parts: _PhaseParts):
     return 8.0 * al2 * np.exp(-2.0j * ka) / (gam + 1.0j * dlt)
 
 
+def _abs_u2(alpha, parts: _PhaseParts):
+    """|U|^2 = e^{4qa} |T|^2 in extended precision."""
+    return 64.0 * alpha**4 / (parts.gam**2 + parts.dlt**2)
+
+
 def _reflection_ratio(alpha, parts: _PhaseParts):
     """beta e^{-2qa}, the real ratio with R = beta_hat e^{i[k(2a+l)-pi/2]} U."""
     al2 = np.square(alpha)
@@ -265,7 +270,7 @@ def scattering_solution(
     k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
     u = _scaled_transmission(k, al, system.a, parts)
     beta_hat = _reflection_ratio(al, parts)
-    abs_u2 = 64.0 * al**4 / (parts.gam**2 + parts.dlt**2)
+    abs_u2 = _abs_u2(al, parts)
     phi = float(parts.kl - np.arctan2(parts.dlt, parts.gam))
     if branch_state is not None:
         phi = branch_state.update(phi)
@@ -354,7 +359,7 @@ def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     k, q, alpha, parts = _prepare(E, V0, a, l, mass)
     u = _scaled_transmission(k, alpha, a, parts)
     beta_hat = _reflection_ratio(alpha, parts)
-    abs_u2 = 64.0 * alpha**4 / (parts.gam**2 + parts.dlt**2)
+    abs_u2 = _abs_u2(alpha, parts)
     beta_d = beta_hat.astype(float)
     k_d = k.astype(float)
     span = 2.0 * a + l

@@ -2,8 +2,10 @@
 
 Nothing here knows about barriers or spinors: branch-continued phases,
 Richardson-extrapolated derivatives, an adaptive Simpson quadrature and a
-golden-section minimizer.  Kept separate so the oracle-style routines can
-depend on them without touching the closed-form layer.
+golden-section minimizer.  The minimizer also takes arrays of brackets
+and steps them in lock-step, one vectorized objective call per step, so
+many minima cost one search.  Kept separate so the oracle-style routines
+can depend on them without touching the closed-form layer.
 """
 
 from __future__ import annotations
@@ -142,29 +144,44 @@ def golden_section_min(
     b: float,
     tol: float = 1e-12,
 ) -> float:
-    """Locate a minimum of a unimodal function on [a, b].
+    """Locate a minimum of a unimodal function on [a, b], for one bracket or many.
 
     Plain golden-section search; returns the midpoint of the final
-    bracket once its width drops below ``tol``.
+    bracket once its width drops below ``tol``.  ``a`` and ``b`` may be
+    broadcastable arrays of brackets: they are then searched in
+    lock-step, each step calling ``f`` once on the array of new
+    abscissae, and every element follows exactly the scalar search on
+    its own bracket, stopping after its own step count.  Scalar ``a``,
+    ``b`` return a float.
     """
-    if b < a:
-        a, b = b, a
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = np.where(b < a, b, a), np.where(b < a, a, b)
     width = b - a
-    if width <= tol:
-        return 0.5 * (a + b)
-    n = max(1, math.ceil(math.log(tol / width) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * width
-    d = a + _INV_PHI * width
-    fc, fd = f(c), f(d)
-    for _ in range(n):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            width *= _INV_PHI
-            c = a + _INV_PHI2 * width
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            width *= _INV_PHI
-            d = a + _INV_PHI * width
-            fd = f(d)
-    return 0.5 * (a + b)
+    # math.log per bracket: an ulp from np.log could flip the ceil.
+    steps = np.array(
+        [0 if w <= tol else max(1, math.ceil(math.log(tol / w) / math.log(_INV_PHI)))
+         for w in width.ravel().tolist()],
+        dtype=int,
+    ).reshape(width.shape)
+    n_max = int(steps.max(initial=0))
+    n_min = int(steps.min(initial=n_max))
+    if n_max > 0:
+        c = a + _INV_PHI2 * width
+        d = a + _INV_PHI * width
+        fc, fd = f(c), f(d)
+    for step in range(n_max):
+        left = fc < fd
+        a_next, b_next = np.where(left, a, c), np.where(left, d, b)
+        if step >= n_min:
+            # A finished bracket keeps its ends, the only state the result reads;
+            # its later abscissae stay inside it and are evaluated but unused.
+            live = step < steps
+            a_next, b_next = np.where(live, a_next, a), np.where(live, b_next, b)
+        a, b = a_next, b_next
+        width = width * _INV_PHI
+        x = np.where(left, a + _INV_PHI2 * width, a + _INV_PHI * width)
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    mid = 0.5 * (a + b)
+    return float(mid) if mid.ndim == 0 else mid

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import (
+    _abs_u2,
     _full_shape,
     _phase_parts,
     _PhaseParts,
@@ -293,6 +294,20 @@ def opaque_limit_times(E: float, system: BarrierSystem) -> TimeReport:
     )
 
 
+class _NRWindowError(ValueError):
+    """A point outside the nonrelativistic window.
+
+    ``index`` is its flat grid index for array input (None for a scalar).
+    """
+
+    def __init__(self, detail: str, index: int | None):
+        super().__init__(
+            "nonrelativistic window requires 0 < E_kin < V0 (including the derivative "
+            f"stencil) and finite widths a, l >= 0 ({detail})"
+        )
+        self.index = index
+
+
 def _nr_kinematics(E_kin, V0, mass):
     Ek = np.asarray(E_kin, dtype=np.longdouble)
     Vl = np.asarray(V0, dtype=np.longdouble)
@@ -339,11 +354,15 @@ def _bulk_nr_phase_time(E_kin, V0, a, l, mass=1.0) -> np.ndarray:
     E_kin, V0, a, l = (np.asarray(x, dtype=float) for x in (E_kin, V0, a, l))
     E_kin = E_kin[(np.newaxis,) * (max(V0.ndim, a.ndim, l.ndim) - E_kin.ndim)]
     h = 1e-6 * E_kin
-    if not np.all((E_kin - h > 0.0) & (E_kin + h < V0)):
-        raise ValueError(
-            "nonrelativistic window requires 0 < E_kin < V0 across the grid "
-            "(including the derivative stencil)"
-        )
+    ok = (
+        (E_kin - h > 0.0) & (E_kin + h < V0)
+        & (0.0 <= a) & (a < math.inf) & (0.0 <= l) & (l < math.inf)
+    )
+    if not np.all(ok):
+        i = None if ok.ndim == 0 else int(np.flatnonzero(~ok)[0])
+        e, v, w, s = (float(np.broadcast_to(x, ok.shape).flat[i or 0]) for x in (E_kin, V0, a, l))
+        where = "" if i is None else f"grid index {i}: "
+        raise _NRWindowError(f"{where}E_kin={e!r}, V0={v!r}, a={w!r}, l={s!r}", i)
     stencil = np.stack([E_kin - h, E_kin - 0.5 * h, E_kin + 0.5 * h, E_kin + h])
     phases = np.unwrap(_nr_phase(stencil, V0, a, l, mass), period=math.pi, axis=0)
     coarse = (phases[3] - phases[0]) / (2.0 * h)
@@ -364,13 +383,12 @@ def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     span = 2.0 * a + l
     tau_p = np.asarray(_tau_p_from(E, V0, mass, k, q, alpha, a, l, parts), dtype=float)
     tau_i = np.asarray(_tau_i_dual(E, V0, a, l, mass, k, alpha, span, parts), dtype=float)
-    abs_u2 = 64.0 * alpha**4 / (parts.gam**2 + parts.dlt**2)
     return {
         "tau_p": tau_p,
         "tau_i": tau_i,
         "tau_d": tau_p - tau_i,
         "t_free": (span * E / k).astype(float),
         "t_light": _full_shape(span, tau_p),
-        "magT2": (parts.hyp.e4 * abs_u2).astype(float),
+        "magT2": (parts.hyp.e4 * _abs_u2(alpha, parts)).astype(float),
         "phi_t": (parts.kl - np.arctan2(parts.dlt, parts.gam)).astype(float),
     }

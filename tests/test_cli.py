@@ -1,6 +1,7 @@
 """Command line interface: argument handling, file formats, exit codes."""
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ def test_plot_script_xlabel_tracks_axis(tmp_path):
     path = tmp_path / "d.csv"
     emit_csv(ds, path)
     script_path = emit_plot_script(path, xlabel="separation l")
-    text = open(script_path).read()
+    text = Path(script_path).read_text()
     assert "separation l" in text
     assert 'column("swept")' in text
 

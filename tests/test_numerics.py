@@ -124,3 +124,62 @@ def test_golden_section_min_cos():
 def test_golden_section_min_tight_bracket():
     x = golden_section_min(lambda x: x * x, 0.5, 0.5 + 1e-14, tol=1e-12)
     assert 0.5 <= x <= 0.5 + 1e-13
+
+
+def _wavy(x):
+    # several local minima, so brackets step left and right in different orders
+    return np.cos(3.0 * x) + 0.1 * x
+
+
+def _assert_matches_scalar_calls(a, b, tol):
+    got = golden_section_min(_wavy, a, b, tol=tol)
+    a, b = np.broadcast_arrays(a, b)
+    assert got.shape == a.shape
+    for x, lo, hi in zip(got.flat, a.flat, b.flat):
+        assert x == golden_section_min(_wavy, float(lo), float(hi), tol=tol)
+
+
+def test_golden_section_min_reversed_brackets():
+    _assert_matches_scalar_calls(np.array([4.0, 2.0, 1.5]), np.array([2.0, 4.0, 0.5]), 1e-11)
+
+
+def test_golden_section_min_tight_bracket_among_wide_ones():
+    a = np.array([0.5, 2.0, 0.0])
+    b = np.array([0.5 + 1e-14, 4.0, 2.0])
+    _assert_matches_scalar_calls(a, b, 1e-12)
+    assert golden_section_min(_wavy, a, b, tol=1e-12)[0] == 0.5 * (0.5 + (0.5 + 1e-14))
+
+
+def test_golden_section_min_brackets_of_different_widths():
+    # widths over four decades: step counts from 26 to 45
+    a = np.array([2.0, 1.9, 1.95, 1.99, 1.999])
+    _assert_matches_scalar_calls(a, a + np.array([2.0, 0.4, 0.2, 0.02, 2e-4]), 1e-9)
+
+
+def test_golden_section_min_two_dimensional_brackets():
+    a = np.linspace(0.0, 3.0, 6).reshape(2, 3)
+    _assert_matches_scalar_calls(a, a + np.array([[1.0], [0.3]]), 1e-10)
+
+
+def test_golden_section_min_one_call_per_step():
+    calls = []
+
+    def f(x):
+        calls.append(np.shape(x))
+        return _wavy(x)
+
+    a = np.array([0.0, 1.0, 2.0])
+    golden_section_min(f, a, a + np.array([1.0, 0.1, 0.01]), tol=1e-8)
+    steps = max(1, math.ceil(math.log(1e-8 / 1.0) / math.log((math.sqrt(5.0) - 1.0) / 2.0)))
+    assert calls == [(3,)] * (2 + steps)
+    calls.clear()
+    golden_section_min(f, a, a + 1e-14, tol=1e-12)
+    assert calls == []
+
+
+def test_golden_section_min_return_types():
+    assert type(golden_section_min(_wavy, 0.0, 2.0)) is float
+    assert type(golden_section_min(_wavy, 0.5, 0.5, tol=1e-12)) is float
+    out = golden_section_min(_wavy, np.array([0.0]), np.array([2.0]))
+    assert isinstance(out, np.ndarray) and out.shape == (1,)
+    assert golden_section_min(_wavy, np.array([]), np.array([])).shape == (0,)

@@ -1,16 +1,22 @@
 """Sweep engine, canonical figure datasets, and resonance finding."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from dirac_tunneling import (
     BarrierSystem,
     SweepSpec,
+    bulk_amplitudes,
+    dwell_time,
     figure_datasets,
     figure_spec,
     find_resonances,
     kinematic_point,
     opaque_limit_times,
+    phase_time_closed,
     run_sweep,
 )
 from dirac_tunneling.kinematics import RegimeError
@@ -61,6 +67,17 @@ def test_run_sweep_regime_guard_names_the_point():
         run_sweep(spec)  # upper part of the range is above-barrier
     assert "sweep point" in str(exc.value)
     assert "energy_E" in str(exc.value)
+
+
+def test_run_sweep_nr_window_guard_names_the_point():
+    # Evanescent up to E = 2.5 - 1e-7, but the NR stencil crosses V0 at the top.
+    s = BarrierSystem(V0=1.5, a=0.7, l=0.7)
+    spec = SweepSpec(swept="energy_E", lo=2.0, hi=2.5 - 1e-7, points=5, system=s, E=1.8,
+                     include_nr=True)
+    with pytest.raises(ValueError, match=r"nonrelativistic window .* \(sweep point "
+                       r"energy_E=2.5 \(index 4\)\)$") as exc:
+        run_sweep(spec)
+    assert exc.value.index == 4
 
 
 def test_energy_sweep_omits_opaque_reference():
@@ -194,3 +211,86 @@ def test_find_resonances_transparent_system():
     # a = 0 gives R = 0 identically: nothing to find
     s = BarrierSystem(V0=1.5, a=0.0, l=0.7)
     assert find_resonances(s, 1.8, (0.1, 10.0)) == []
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+
+
+def _scalar_golden_section_min(f, a, b, tol=1e-12):
+    # The one-bracket search find_resonances ran before the lock-step one.
+    if b < a:
+        a, b = b, a
+    width = b - a
+    if width <= tol:
+        return 0.5 * (a + b)
+    n = max(1, math.ceil(math.log(tol / width) / math.log(_INV_PHI)))
+    c = a + _INV_PHI2 * width
+    d = a + _INV_PHI * width
+    fc, fd = f(c), f(d)
+    for _ in range(n):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            width *= _INV_PHI
+            c = a + _INV_PHI2 * width
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            width *= _INV_PHI
+            d = a + _INV_PHI * width
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _one_at_a_time_resonances(system, E, l_range, scan_points=1024):
+    # Reference: the same scan, then one scalar search and scalar times per minimum.
+    lo, hi = float(l_range[0]), float(l_range[1])
+
+    def mag_r2(l):
+        amp = bulk_amplitudes(E, system.V0, system.a, l, system.mass)
+        return float(amp["magR2"])
+
+    grid = np.linspace(lo, hi, scan_points)
+    r2 = bulk_amplitudes(E, system.V0, system.a, grid, system.mass)["magR2"]
+    found = []
+    for i in range(1, scan_points - 1):
+        if r2[i] < r2[i - 1] and r2[i] < r2[i + 1]:
+            l_star = _scalar_golden_section_min(mag_r2, grid[i - 1], grid[i + 1], tol=1e-11)
+            trimmed = BarrierSystem(
+                V0=system.V0, a=system.a, l=l_star, mass=system.mass
+            )
+            tau_p = phase_time_closed(E, trimmed)
+            tau_d = dwell_time(E, trimmed)
+            found.append((float(l_star), math.sqrt(mag_r2(l_star)), tau_p, tau_d))
+    return found
+
+
+@pytest.mark.parametrize(
+    "V0, a, E, l_range, hits",
+    [
+        (1.5, 0.7, 1.8, (0.01, 10.0), 5),
+        (1.5, 0.7, 1.8, (0.01, 210.0), 100),
+        (2.19, 0.3, 1.46, (0.1, 60.0), 20),
+        (1.5, 0.0, 1.8, (0.1, 10.0), 0),
+    ],
+)
+def test_find_resonances_equals_one_at_a_time_search(V0, a, E, l_range, hits):
+    system = BarrierSystem(V0=V0, a=a, l=l_range[0])
+    got = find_resonances(system, E, l_range)
+    assert len(got) == hits
+    assert got == _one_at_a_time_resonances(system, E, l_range)
+    assert all(type(x) is float for row in got for x in row)
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63, reason="hash pinned for the 80-bit longdouble build"
+)
+def test_find_resonances_long_range_pin():
+    # 1429 resonance spacings; the 1024-point scan samples 406 of the dips.
+    system = BarrierSystem(V0=1.5, a=0.7, l=0.01)
+    k = kinematic_point(1.8, system).k
+    hits = find_resonances(system, 1.8, (0.01, 0.01 + 1429 * math.pi / k))
+    assert len(hits) == 406
+    assert hashlib.sha256(repr(hits).encode()).hexdigest() == (
+        "f643cb873931c7bc015dbec68add6990fb9c25bd4389bc03a5d9ddd69a6ef750"
+    )

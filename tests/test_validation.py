@@ -15,6 +15,7 @@ from dirac_tunneling import (
     time_report,
     times,
 )
+from dirac_tunneling.times import _bulk_nr_phase_time
 
 
 def _scalar_entries():
@@ -53,6 +54,27 @@ def test_bulk_error_locates_first_bad_point():
     with pytest.raises(RegimeError) as exc:
         bulk_amplitudes([1.8, 1.8, 0.4], 1.5, 0.7, 0.7)
     assert exc.value.index == 2
+
+
+def test_nr_window_error_names_the_first_bad_point():
+    with pytest.raises(ValueError) as exc:
+        _bulk_nr_phase_time([0.5, 0.9, 2.0, 3.0], 1.5, 0.7, 0.7)
+    assert exc.value.index == 2
+    assert str(exc.value) == (
+        "nonrelativistic window requires 0 < E_kin < V0 (including the derivative "
+        "stencil) and finite widths a, l >= 0 (grid index 2: E_kin=2.0, V0=1.5, a=0.7, l=0.7)"
+    )
+    with pytest.raises(ValueError, match=r"\(E_kin=1.6, V0=1.5, a=0.7, l=0.7\)") as exc:
+        _bulk_nr_phase_time(1.6, 1.5, 0.7, 0.7)
+    assert exc.value.index is None
+
+
+@pytest.mark.parametrize("width", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize("which", ["a", "l"])
+def test_nr_rejects_bad_width(which, width):
+    widths = {"a": 0.7, "l": 0.7, which: [0.7, width]}
+    with pytest.raises(ValueError, match=f"grid index 1: .*{which}={width!r}"):
+        _bulk_nr_phase_time(0.5, 1.5, widths["a"], widths["l"])
 
 
 _SPECIAL = [math.nan, math.inf, -math.inf]
