@@ -34,12 +34,7 @@ import numpy as np
 
 from .amplitudes import bulk_amplitudes, region_coefficients
 from .kinematics import BarrierSystem, RegimeError
-from .oracle import (
-    dwell_integral,
-    numeric_phase_time,
-    random_evanescent_grid,
-    tm_solve,
-)
+from .oracle import _phase_time_stack, _tm_stack, dwell_integral, random_evanescent_grid
 from .scenarios import (
     FIGURE_IDS,
     SweepDataset,
@@ -479,36 +474,28 @@ def _cmd_verify(cfg: RunConfig) -> int:
     bulk = bulk_amplitudes(E, V0, a, l)
     check("unitarity |T|^2+|R|^2-1", float(np.max(np.abs(bulk["magT2"] + bulk["magR2"] - 1.0))), 1e-12)
 
-    worst_t = worst_r = worst_c = worst_d = 0.0
-    for i in range(cfg.count):
-        system = BarrierSystem(V0=float(V0[i]), a=float(a[i]), l=float(l[i]))
-        closed = region_coefficients(float(E[i]), system)
-        solved = tm_solve(float(E[i]), system)
-        worst_t = max(worst_t, abs(closed.T - solved.T) / abs(solved.T))
-        worst_r = max(worst_r, abs(closed.R - solved.R) / max(abs(solved.R), 1e-30))
-        worst_c = max(worst_c, abs(closed.C - solved.C) / abs(solved.C))
-        worst_d = max(worst_d, abs(closed.D - solved.D) / max(abs(solved.D), 1e-30))
-    check("closed T vs transfer solve", worst_t, 1e-10)
-    check("closed R vs transfer solve", worst_r, 1e-10)
-    check("closed C vs transfer solve", worst_c, 1e-10)
-    check("closed D vs transfer solve", worst_d, 1e-10)
+    # The oracle side is one stacked solve for the coefficients and one for all the
+    # phase-time stencils; the closed forms are evaluated point by point.
+    points = list(zip(E.tolist(), (BarrierSystem(V0=v, a=w, l=s)
+                                   for v, w, s in zip(V0.tolist(), a.tolist(), l.tolist()))))
+    closed = [region_coefficients(e, s) for e, s in points]
+    solved = _tm_stack(E, V0, a, l)
+    for name, floor in (("T", 0.0), ("R", 1e-30), ("C", 0.0), ("D", 1e-30)):
+        ref = getattr(solved, name)
+        x = np.array([getattr(c, name) for c in closed])
+        worst = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), floor)))
+        check(f"closed {name} vs transfer solve", worst, 1e-10)
 
-    worst = 0.0
-    for i in range(cfg.count):
-        system = BarrierSystem(V0=float(V0[i]), a=float(a[i]), l=float(l[i]))
-        closed = phase_time_closed(float(E[i]), system)
-        numeric = numeric_phase_time(float(E[i]), system)
-        worst = max(worst, abs(closed - numeric) / abs(numeric))
-    check("phase time closed vs finite difference", worst, 1e-6)
+    tau_p = np.array([phase_time_closed(e, s) for e, s in points])
+    numeric = _phase_time_stack(E, V0, a, l)
+    check("phase time closed vs finite difference",
+          float(np.max(np.abs(tau_p - numeric) / np.abs(numeric))), 1e-6)
 
-    worst = 0.0
     n_dwell = min(cfg.count, 25)
-    for i in range(n_dwell):
-        system = BarrierSystem(V0=float(V0[i]), a=float(a[i]), l=float(l[i]))
-        quad = dwell_integral(float(E[i]), system)
-        closed = dwell_time(float(E[i]), system)
-        worst = max(worst, abs(quad - closed) / abs(quad))
-    check(f"dwell quadrature vs tau_p - tau_i ({n_dwell} pts)", worst, 1e-6)
+    quad = np.array([dwell_integral(e, s) for e, s in points[:n_dwell]])
+    tau_d = np.array([dwell_time(e, s) for e, s in points[:n_dwell]])
+    check(f"dwell quadrature vs tau_p - tau_i ({n_dwell} pts)",
+          float(np.max(np.abs(quad - tau_d) / np.abs(quad))), 1e-6)
 
     if failures:
         print(f"FAILED: {', '.join(failures)}")

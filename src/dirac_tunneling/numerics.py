@@ -2,10 +2,13 @@
 
 Nothing here knows about barriers or spinors: branch-continued phases,
 Richardson-extrapolated derivatives, an adaptive Simpson quadrature and a
-golden-section minimizer.  The minimizer also takes arrays of brackets
-and steps them in lock-step, one vectorized objective call per step, so
-many minima cost one search.  Kept separate so the oracle-style routines
-can depend on them without touching the closed-form layer.
+golden-section minimizer.  They are array-native where it pays: the
+quadrature takes array integrands and refines all its panels level by
+level, one integrand call per level; the derivative evaluates its
+four-point stencil in one call; the minimizer steps arrays of brackets
+in lock-step, one objective call per step.  Kept separate so the
+oracle-style routines can depend on them without touching the
+closed-form layer.
 """
 
 from __future__ import annotations
@@ -66,71 +69,82 @@ def continue_branch(values: Sequence[float], period: float = math.pi) -> np.ndar
 
 
 def phase_derivative(
-    f: Callable[[float], float],
-    x: float,
-    h: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    x,
+    h,
     period: float | None = math.pi,
-) -> float:
+):
     """Richardson-extrapolated central derivative of a phase-like function.
 
-    Evaluates ``f`` at x -+ h and x -+ h/2, unwraps the four samples with
-    the given period (pass ``period=None`` for an ordinary smooth
-    function), and combines the two central differences as
-    (4 D(h/2) - D(h)) / 3, cancelling the leading O(h^2) error.
+    Evaluates ``f`` once, on the stacked stencil x -+ h, x -+ h/2 (a
+    leading axis of four, so ``x`` and ``h`` may be arrays), unwraps the
+    four samples with the given period (pass ``period=None`` for an
+    ordinary smooth function), and combines the two central differences
+    as (4 D(h/2) - D(h)) / 3, cancelling the leading O(h^2) error.
     """
-    samples = [f(x - h), f(x - h / 2), f(x + h / 2), f(x + h)]
+    samples = f(np.array([x - h, x - h / 2, x + h / 2, x + h]))
     if period is not None:
-        samples = list(np.unwrap(samples, period=period))
+        # Shift each sample by the multiple of the period nearest its step from the last.
+        jumps = np.rint((samples[1:] - samples[:-1]) / period)
+        samples = np.concatenate((samples[:1], samples[1:] - period * jumps.cumsum(axis=0)))
     coarse = (samples[3] - samples[0]) / (2.0 * h)
     fine = (samples[2] - samples[1]) / h
     return (4.0 * fine - coarse) / 3.0
 
 
-def _simpson(fa: float, fm: float, fb: float, width: float) -> float:
-    return width * (fa + 4.0 * fm + fb) / 6.0
+# Rows of a split panel, from rows x0 x1 x2 f0 f1 f2 xq0 xq1 fq0 fq1 of its parent
+# (xq the quarter points): its left half in column 0, its right half in column 1.
+_HALVES = np.array([[0, 1], [6, 7], [1, 2], [3, 4], [8, 9], [4, 5]])
 
 
 def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    a,
+    b,
     rtol: float = 1e-9,
     atol: float = 0.0,
     max_depth: int = 48,
 ) -> tuple[float, float]:
-    """Adaptive Simpson quadrature of ``f`` over [a, b].
+    """Adaptive Simpson quadrature of ``f`` over [a, b], or summed over many panels.
 
-    Returns (value, error_estimate) where the estimate is the accumulated
-    |S_fine - S_coarse| / 15 over accepted panels.  The local acceptance
-    threshold is rtol * max(|S|, atol / rtol) + atol, with S the
-    one-panel Simpson estimate over [a, b], distributed over the panel's
-    share of the interval.
+    ``f`` maps an array of abscissae to values of the same shape; ``a``
+    and ``b`` may be broadcastable arrays of panel ends (empty or reversed
+    panels count zero).  Every refinement level calls ``f`` once, on the
+    quarter points of all panels still open.  Returns (value, error
+    estimate), the estimate summing |S_fine - S_coarse| / 15 over accepted
+    panels.  A panel is accepted once that error is within its share
+    (width over total width) of rtol * max(|S|, atol / rtol) + atol, S the
+    starting panels' summed one-panel estimate, or at depth ``max_depth``.
     """
-    if b <= a:
+    lo, hi = (x.ravel() for x in np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float)))
+    lo, hi = lo[hi > lo], hi[hi > lo]
+    if lo.size == 0:
         return 0.0, 0.0
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = _simpson(fa, fm, fb, b - a)
-    # Scale for the relative test, fixed from the one-panel estimate.
-    scale = max(abs(whole), atol / max(rtol, 1e-300))
-
-    def recurse(lo, flo, hi, fhi, fmid, coarse, depth):
-        m = 0.5 * (lo + hi)
-        lm, rm = 0.5 * (lo + m), 0.5 * (m + hi)
-        flm, frm = f(lm), f(rm)
-        left = _simpson(flo, flm, fmid, m - lo)
-        right = _simpson(fmid, frm, fhi, hi - m)
-        fine = left + right
-        err = (fine - coarse) / 15.0
-        budget = (rtol * scale + atol) * (hi - lo) / (b - a)
-        if depth >= max_depth or abs(err) <= budget:
-            return fine + err, abs(err)
-        lv, le = recurse(lo, flo, m, fmid, flm, coarse=left, depth=depth + 1)
-        rv, re = recurse(m, fmid, hi, fhi, frm, coarse=right, depth=depth + 1)
-        return lv + rv, le + re
-
-    value, err = recurse(a, fa, b, fb, fm, coarse=whole, depth=0)
+    # Rows lo, mid, hi of the open panels, then f there; and one-panel estimates.
+    panels = np.array([lo, 0.5 * (lo + hi), hi])
+    panels = np.concatenate((panels, f(panels)))
+    coarse = (hi - lo) * (panels[3] + 4.0 * panels[4] + panels[5]) / 6.0
+    # Scale for the relative test, fixed from the starting estimate.
+    scale = max(abs(coarse.sum()), atol / max(rtol, 1e-300))
+    unit_budget = (rtol * scale + atol) / (hi - lo).sum()
+    value = err = 0.0
+    for depth in range(max_depth + 1):
+        x, fx = panels[:3], panels[3:]
+        xq = 0.5 * (x[:2] + x[1:])
+        fq = f(xq)
+        halves = (x[1:] - x[:2]) * (fx[:2] + 4.0 * fq + fx[1:]) / 6.0
+        fine = halves[0] + halves[1]
+        delta = (fine - coarse) / 15.0
+        done = (np.abs(delta) <= unit_budget * (x[2] - x[0])) | (depth == max_depth)
+        value += float((fine + delta).sum(where=done))
+        err += float(np.abs(delta).sum(where=done))
+        keep = ~done
+        if not keep.any():
+            break
+        # Each open panel splits into its halves, left halves first, then right ones.
+        grown = np.concatenate((panels, xq, fq))[:, keep]
+        panels = grown[_HALVES].reshape(6, -1)
+        coarse = halves[:, keep].ravel()
     return value, err
 
 

@@ -3,10 +3,13 @@
 Nothing in this module uses the closed amplitude or time formulas.  The
 stationary solution is obtained by solving the eight spinor-continuity
 equations (two components at each of the four interfaces) as a dense
-linear system; the phase time comes from finite differences of that
-solution's transmission phase; the dwell time from adaptive quadrature of
-the probability density.  Tests compare the closed forms against these
-routines, so the two layers must share as little code as possible.
+linear system, for any broadcast stack of points in one LAPACK call; the
+phase time comes from finite differences of that solution's transmission
+phase, its four stencil energies solved as one stack; the dwell time from
+adaptive quadrature of the probability density, evaluated on arrays and
+refined level by level.  The one-point functions are views of these array
+paths.  Tests compare the closed forms against these routines, so the two
+layers must share as little code as possible.
 
 The linear system is assembled in rescaled unknowns: every evanescent
 coefficient is multiplied by the exponential factor that makes it O(1)
@@ -26,14 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .amplitudes import RegionCoefficients
-from .kinematics import (
-    BarrierSystem,
-    KinematicPoint,
-    Regime,
-    classify_regime,
-    kinematic_point,
-    regime_error,
-)
+from .kinematics import (BarrierSystem, KinematicPoint, RegimeError, _validate,
+                         kinematic_point, regime_error)
 from .numerics import adaptive_simpson, phase_derivative
 
 __all__ = [
@@ -77,52 +74,69 @@ class FieldSample:
     J: float
 
 
-def tm_solve(E: float, system: BarrierSystem) -> RegionCoefficients:
-    """All region coefficients from a direct linear solve.
+def _tm_rescaled(E, V0, a, l, mass: float = 1.0):
+    """(x, q) for broadcast valid points: one stacked solve of their systems.
 
-    Assembles the eight continuity equations in rescaled unknowns
-    (R, A, B e^{2qa}, C e^{qa}, D e^{qa}, F e^{-ql}, G e^{q(2a+l)} e^{2qa},
-    T e^{2qa}) and solves with LAPACK.  No closed amplitude formulas are
-    involved.
+    The eight continuity equations, two spinor components at each
+    interface, in the unknowns R, A, B e^{2qa}, C e^{qa}, D e^{qa},
+    F e^{-ql}, G e^{q(2a+l)} e^{2qa}, T e^{2qa}, which ``x`` holds in that
+    order along its leading axis.  The matrix entries are bounded by 1 at
+    any qa.
     """
-    kp = kinematic_point(E, system)
-    a, l = system.a, system.l
-    k, q, al = kp.k, kp.q, kp.alpha
-    s = a + l
-    w = system.span
-    e2 = math.exp(-2.0 * q * a)
-    eika = cmath.exp(1.0j * k * a)
-    emika = eika.conjugate()
-    eiks = cmath.exp(1.0j * k * s)
-    emiks = eiks.conjugate()
-    eikw = cmath.exp(1.0j * k * w)
-
-    m = np.zeros((8, 8), dtype=complex)
-    rhs = np.zeros(8, dtype=complex)
-    # Unknown order: R, A, B^, C^, D^, F^, G^, T^
-    m[0, 0], m[0, 1], m[0, 2] = -1.0, 1.0, e2
-    rhs[0] = 1.0
-    m[1, 0], m[1, 1], m[1, 2] = al, 1.0j, -1.0j * e2
-    rhs[1] = al
-    m[2, 1], m[2, 2], m[2, 3], m[2, 4] = 1.0, 1.0, -eika, -emika
-    m[3, 1], m[3, 2], m[3, 3], m[3, 4] = 1.0j, -1.0j, -al * eika, al * emika
-    m[4, 3], m[4, 4], m[4, 5], m[4, 6] = eiks, emiks, -1.0, -e2
-    m[5, 3], m[5, 4], m[5, 5], m[5, 6] = al * eiks, -al * emiks, -1.0j, 1.0j * e2
-    m[6, 5], m[6, 6], m[6, 7] = 1.0, 1.0, -eikw
-    m[7, 5], m[7, 6], m[7, 7] = 1.0j, -1.0j, -al * eikw
-
-    x = np.linalg.solve(m, rhs)
-    e1 = math.exp(-q * a)
-    return RegionCoefficients(
-        A=complex(x[1]),
-        B=complex(x[2]) * e2,
-        C=complex(x[3]) * e1,
-        D=complex(x[4]) * e1,
-        F=complex(x[5]) * math.exp(q * l),
-        G=complex(x[6]) * math.exp(-q * w) * e2,
-        T=complex(x[7]) * e2,
-        R=complex(x[0]),
+    k = np.sqrt((E - mass) * (E + mass))
+    diff = E - V0
+    q = np.sqrt((mass - diff) * (mass + diff))
+    al = (k / q) * (diff + mass) / (E + mass)
+    e2 = np.exp(-2.0 * q * a)
+    ik = 1.0j * k
+    eika, eiks, eikw = np.exp(ik * a), np.exp(ik * (a + l)), np.exp(ik * (2.0 * a + l))
+    emika, emiks = eika.conjugate(), eiks.conjugate()
+    # Row i of the system: its (column, entry) pairs.
+    rows = (
+        ((0, -1.0), (1, 1.0), (2, e2)),
+        ((0, al), (1, 1.0j), (2, -1.0j * e2)),
+        ((1, 1.0), (2, 1.0), (3, -eika), (4, -emika)),
+        ((1, 1.0j), (2, -1.0j), (3, -al * eika), (4, al * emika)),
+        ((3, eiks), (4, emiks), (5, -1.0), (6, -e2)),
+        ((3, al * eiks), (4, -al * emiks), (5, -1.0j), (6, 1.0j * e2)),
+        ((5, 1.0), (6, 1.0), (7, -eikw)),
+        ((5, 1.0j), (6, -1.0j), (7, -al * eikw)),
     )
+    # Matrix axes lead while filling, so one point is filled scalar by scalar.
+    shape = np.broadcast(e2, eikw).shape
+    m = np.zeros((8, 8) + shape, dtype=complex)
+    for i, row in enumerate(rows):
+        for j, entry in row:
+            m[i, j] = entry
+    rhs = np.zeros((8, 1) + shape, dtype=complex)
+    rhs[0, 0], rhs[1, 0] = 1.0, al
+    batch = tuple(range(2, m.ndim))
+    x = np.linalg.solve(m.transpose(batch + (0, 1)), rhs.transpose(batch + (0, 1)))
+    return x[..., 0].transpose((len(shape),) + tuple(range(len(shape)))), q
+
+
+def _tm_stack(E, V0, a, l, mass: float = 1.0) -> RegionCoefficients:
+    """Region coefficients of broadcast (E, V0, a, l), each field an array.
+
+    Validates every point, solves them in one stack and undoes the scaling.
+    """
+    _validate(E, V0, a, l, mass)
+    x, q = _tm_rescaled(E, V0, a, l, mass)
+    e2, e1 = np.exp(-2.0 * q * a), np.exp(-q * a)
+    return RegionCoefficients(
+        A=x[1], B=x[2] * e2, C=x[3] * e1, D=x[4] * e1, F=x[5] * np.exp(q * l),
+        G=x[6] * np.exp(-q * (2.0 * a + l)) * e2, T=x[7] * e2, R=x[0],
+    )
+
+
+def tm_solve(E: float, system: BarrierSystem) -> RegionCoefficients:
+    """All region coefficients at one point: the one-point view of the stacked solve.
+
+    The eight continuity equations in rescaled unknowns, solved with
+    LAPACK; no closed amplitude formulas are involved.
+    """
+    sol = _tm_stack(E, system.V0, system.a, system.l, system.mass)
+    return RegionCoefficients(**{f: complex(v) for f, v in vars(sol).items()})
 
 
 def single_barrier_amplitudes(
@@ -152,77 +166,94 @@ def single_barrier_amplitudes(
     return complex(x[3]) * math.exp(-q * width), complex(x[0])
 
 
-def _tm_phase(E: float, system: BarrierSystem) -> float:
-    """arg(T) + k(2a+l) from the linear solve; defined modulo 2 pi."""
-    sol = tm_solve(E, system)
-    k = math.sqrt(E * E - system.mass * system.mass)
-    return cmath.phase(sol.T) + k * system.span
+def _phase_time_stack(E, V0, a, l, mass: float = 1.0) -> np.ndarray:
+    """Finite-difference phase time for broadcast parameters.
+
+    Differentiates arg(T) + k(2a+l) of the linear solve with relative step
+    1e-6 in E, solving the four stencil energies of every point in one
+    stack; the stencil must stay inside the evanescent window.
+    """
+    h = 1e-6 * E
+    # The window is an interval in E, so valid ends make a valid stencil.
+    for edge in (E - h, E + h):
+        try:
+            _validate(edge, V0, a, l, mass)
+        except RegimeError as exc:
+            e = np.broadcast_to(edge, np.broadcast(edge, V0, a, l).shape).flat[exc.index or 0]
+            detail = f"derivative stencil endpoint E={e:g}"
+            raise regime_error(exc.regime, detail, exc.index) from None
+    span = 2.0 * a + l
+
+    def phase(x):
+        # arg T = arg T e^{2qa}: the scaling is real and positive.
+        return np.angle(_tm_rescaled(x, V0, a, l, mass)[0][7]) + np.sqrt(x * x - mass * mass) * span
+
+    return phase_derivative(phase, E, h, period=math.pi)
 
 
 def numeric_phase_time(E: float, system: BarrierSystem) -> float:
     """Phase time as a Richardson-extrapolated finite difference.
 
-    Differentiates the transfer-matrix transmission phase with relative
-    step 1e-6 in E; the four stencil samples are branch-aligned before
-    differencing.  The stencil must stay inside the evanescent window.
+    The one-point view of `_phase_time_stack`; the derivative stencil must
+    stay inside the evanescent window.
     """
-    h = 1e-6 * E
-    for edge in (E - h, E + h):
-        regime = classify_regime(edge, system)
-        if regime is not Regime.EVANESCENT_PARTICLE:
-            raise regime_error(regime, f"derivative stencil endpoint E={edge:g}")
-    return phase_derivative(lambda x: _tm_phase(x, system), E, h, period=math.pi)
+    return float(_phase_time_stack(E, system.V0, system.a, system.l, system.mass))
 
 
-def _density_functions(kp: KinematicPoint, system: BarrierSystem):
-    """Factories for the per-region probability densities |psi1|^2 + |psi3|^2."""
-    E, k, q = kp.E, kp.k, kp.q
-    mass = system.mass
-    kappa1 = k / (E + mass)
-    kappa2 = q / (E - system.V0 + mass)
+def _wavefunction(kp: KinematicPoint, system: BarrierSystem, coeffs: RegionCoefficients):
+    """psi(z) -> (psi1, psi3) at an array of positions, each dispatched by region.
 
-    def plane(c_plus: complex, c_minus: complex):
-        def dens(z: float) -> float:
-            up = c_plus * cmath.exp(1.0j * k * z)
-            dn = c_minus * cmath.exp(-1.0j * k * z)
-            p1 = up + dn
-            p3 = kappa1 * (up - dn)
-            return abs(p1) ** 2 + abs(p3) ** 2
+    Every region carries c+ e^{lam z} + c- e^{-lam z}, with lam = ik in the
+    free regions and -q in the barriers, and a lower component kappa
+    times the difference of the two waves.  An interface belongs to the
+    region on its right; the solution is continuous there.
+    """
+    E, k, q, mass = kp.E, kp.k, kp.q, system.mass
+    kappa1, kappa2 = k / (E + mass), 1.0j * q / (E - system.V0 + mass)
+    bounds = np.array([0.0, system.a, system.a + system.l, system.span])
+    c = coeffs
+    table = np.array([
+        [1.0j * k, -q, 1.0j * k, -q, 1.0j * k],  # lam
+        [1.0, c.A, c.C, c.F, c.T],  # c+
+        [c.R, c.B, c.D, c.G, 0.0],  # c-
+        [kappa1, kappa2, kappa1, kappa2, kappa1],  # kappa
+    ])
 
-        return dens
+    def psi(z):
+        lam, c_plus, c_minus, kappa = table[:, bounds.searchsorted(z, side="right")]
+        wave = np.exp(lam * z)
+        up, dn = c_plus * wave, c_minus / wave
+        return up + dn, kappa * (up - dn)
 
-    def evanescent(c_decay: complex, c_grow: complex):
-        def dens(z: float) -> float:
-            dc = c_decay * math.exp(-q * z)
-            gr = c_grow * math.exp(q * z)
-            p1 = dc + gr
-            p3 = 1.0j * kappa2 * (dc - gr)
-            return abs(p1) ** 2 + abs(p3) ** 2
-
-        return dens
-
-    return plane, evanescent
+    return psi
 
 
 def _dwell_integral_detail(
     E: float, system: BarrierSystem, rtol: float = 1e-9
 ) -> tuple[float, float]:
-    """(dwell time, quadrature error estimate)."""
+    """(dwell time, quadrature error estimate) from one adaptive Simpson run.
+
+    Gap panels start no wider than pi/(2k), half a period of the density
+    there: wider ones can alias its oscillation onto the Simpson samples
+    and be accepted with a wrong value.  Barrier panels start no wider
+    than 1/(4q), so the e^{+-2qz} density there needs few levels.
+    """
     kp = kinematic_point(E, system)
     coeffs = tm_solve(E, system)
-    plane, evanescent = _density_functions(kp, system)
-    a, s, w = system.a, system.a + system.l, system.span
-    pieces = [
-        (evanescent(coeffs.A, coeffs.B), 0.0, a),
-        (plane(coeffs.C, coeffs.D), a, s),
-        (evanescent(coeffs.F, coeffs.G), s, w),
-    ]
-    total = 0.0
-    err = 0.0
-    for dens, lo, hi in pieces:
-        value, piece_err = adaptive_simpson(dens, lo, hi, rtol=rtol)
-        total += value
-        err += piece_err
+    a, s = system.a, system.a + system.l
+    n_barrier = math.ceil(4.0 * kp.q * a)
+    pieces = ((0.0, a, n_barrier), (a, s, math.ceil(2.0 * kp.k * system.l / math.pi)),
+              (s, system.span, n_barrier))
+    breaks = np.concatenate(
+        [lo + (hi - lo) / n * np.arange(n) for lo, hi, n in pieces if n > 0] + [[system.span]]
+    )
+    psi = _wavefunction(kp, system, coeffs)
+
+    def density(z):
+        p1, p3 = psi(z)
+        return np.abs(p1) ** 2 + np.abs(p3) ** 2
+
+    total, err = adaptive_simpson(density, breaks[:-1], breaks[1:], rtol=rtol)
     j_inc = 2.0 * kp.k / (E + system.mass)
     return total / j_inc, err / j_inc
 
@@ -243,35 +274,6 @@ def dwell_integral(E: float, system: BarrierSystem) -> float:
     return value
 
 
-def _wavefunction(
-    kp: KinematicPoint, system: BarrierSystem, coeffs: RegionCoefficients, z: float
-) -> tuple[complex, complex]:
-    """(psi1, psi3) at position z, dispatched by region."""
-    E, k, q = kp.E, kp.k, kp.q
-    mass = system.mass
-    kappa1 = k / (E + mass)
-    kappa2 = q / (E - system.V0 + mass)
-    a, s, w = system.a, system.a + system.l, system.span
-    if z < 0.0:
-        up = cmath.exp(1.0j * k * z)
-        dn = coeffs.R * cmath.exp(-1.0j * k * z)
-        return up + dn, kappa1 * (up - dn)
-    if z <= a:
-        dc = coeffs.A * math.exp(-q * z)
-        gr = coeffs.B * math.exp(q * z)
-        return dc + gr, 1.0j * kappa2 * (dc - gr)
-    if z < s:
-        up = coeffs.C * cmath.exp(1.0j * k * z)
-        dn = coeffs.D * cmath.exp(-1.0j * k * z)
-        return up + dn, kappa1 * (up - dn)
-    if z <= w:
-        dc = coeffs.F * math.exp(-q * z)
-        gr = coeffs.G * math.exp(q * z)
-        return dc + gr, 1.0j * kappa2 * (dc - gr)
-    up = coeffs.T * cmath.exp(1.0j * k * z)
-    return up, kappa1 * up
-
-
 def flux_profile(
     E: float, system: BarrierSystem, z_samples: Sequence[float]
 ) -> list[FieldSample]:
@@ -282,19 +284,11 @@ def flux_profile(
     evanescent modes sustain it jointly.
     """
     kp = kinematic_point(E, system)
-    coeffs = tm_solve(E, system)
-    samples = []
-    for z in z_samples:
-        z = float(z)
-        p1, p3 = _wavefunction(kp, system, coeffs, z)
-        samples.append(
-            FieldSample(
-                z=z,
-                psi_dag_psi=abs(p1) ** 2 + abs(p3) ** 2,
-                J=2.0 * (p1.conjugate() * p3).real,
-            )
-        )
-    return samples
+    z = np.asarray(z_samples, dtype=float)
+    p1, p3 = _wavefunction(kp, system, tm_solve(E, system))(z)
+    dens = np.abs(p1) ** 2 + np.abs(p3) ** 2
+    flux = 2.0 * (p1.conjugate() * p3).real
+    return [FieldSample(*sample) for sample in zip(z.tolist(), dens.tolist(), flux.tolist())]
 
 
 def default_flux_samples(

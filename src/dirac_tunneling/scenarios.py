@@ -128,7 +128,7 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
     except RegimeError as exc:
         i = exc.index
         raise regime_error(
-            exc.regime, f"sweep point {spec.swept}={grid[i]:g} (index {i})", i
+            exc.regime, f"sweep point {spec.swept}={float(grid[i])!r} (index {i})", i
         ) from None
     phi = continue_branch(data["phi_t"])
 
@@ -138,7 +138,8 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
             tau_p_nr = _bulk_nr_phase_time(np.asarray(E, dtype=float) - mass, V0, a, l, mass)
         except _NRWindowError as exc:
             i = exc.index
-            raise _NRWindowError(f"sweep point {spec.swept}={grid[i]:g} (index {i})", i) from None
+            where = f"sweep point {spec.swept}={float(grid[i])!r} (index {i})"
+            raise _NRWindowError(where, i) from None
 
     tau_p_opaque = None
     tau_d_opaque = None

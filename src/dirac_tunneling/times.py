@@ -221,7 +221,7 @@ def _tau_i_dual(E, V0, a, l, mass, k, alpha, span, parts: _PhaseParts):
     deviation = np.abs(from_r - from_h)
     scale = np.maximum(np.maximum(np.abs(from_r), np.abs(from_h)), mass / np.square(k_d))
     bad = deviation > _CONSISTENCY_TOL * scale
-    if np.any(bad):
+    if bad.any():
         ratio = deviation / scale
         i = int(np.argmax(ratio))
         e, v, w, s = (float(np.broadcast_to(x, ratio.shape).flat[i]) for x in (E, V0, a, l))

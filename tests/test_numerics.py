@@ -66,13 +66,13 @@ def test_continue_branch_matches_tracker():
 
 def test_phase_derivative_plain_function():
     # no branch folding: derivative of sin at 0.4
-    d = phase_derivative(math.sin, 0.4, 1e-4, period=None)
+    d = phase_derivative(np.sin, 0.4, 1e-4, period=None)
     assert d == pytest.approx(math.cos(0.4), rel=1e-10)
 
 
 def test_phase_derivative_through_branch_cut():
     # f returns a principal value; unwrapped slope is 0.7
-    f = lambda x: math.remainder(0.7 * x, math.pi)
+    f = lambda x: np.remainder(0.7 * x + math.pi / 2, math.pi) - math.pi / 2
     x0 = math.pi / 1.4  # 0.7 x0 = pi/2, right at the fold
     d = phase_derivative(f, x0, 1e-3)
     assert d == pytest.approx(0.7, rel=1e-9)
@@ -80,14 +80,14 @@ def test_phase_derivative_through_branch_cut():
 
 def test_phase_derivative_richardson_order():
     # error should drop ~16x when h drops 2x for a smooth quartic-limited rule
-    f = math.exp
+    f = np.exp
     e1 = abs(phase_derivative(f, 0.0, 1e-2, period=None) - 1.0)
     e2 = abs(phase_derivative(f, 0.0, 5e-3, period=None) - 1.0)
     assert e2 < e1 / 8.0
 
 
 def test_adaptive_simpson_smooth():
-    val, err = adaptive_simpson(math.sin, 0.0, math.pi)
+    val, err = adaptive_simpson(np.sin, 0.0, math.pi)
     assert val == pytest.approx(2.0, rel=1e-12)
     assert err < 1e-9
 
@@ -98,7 +98,7 @@ def test_adaptive_simpson_kink():
 
 
 def test_adaptive_simpson_error_estimate_honest():
-    val, err = adaptive_simpson(lambda x: math.exp(-x) * math.cos(8 * x), 0.0, 3.0,
+    val, err = adaptive_simpson(lambda x: np.exp(-x) * np.cos(8 * x), 0.0, 3.0,
                                 rtol=1e-8)
     exact = (math.exp(-3.0) * (8 * math.sin(24.0) - math.cos(24.0)) + 1.0) / 65.0
     assert abs(val - exact) < 10.0 * max(err, 1e-15)
@@ -107,6 +107,31 @@ def test_adaptive_simpson_error_estimate_honest():
 def test_adaptive_simpson_empty_interval():
     assert adaptive_simpson(math.sin, 1.0, 1.0) == (0.0, 0.0)
     assert adaptive_simpson(math.sin, 2.0, 1.0) == (0.0, 0.0)
+
+
+def test_adaptive_simpson_panels_sum_to_the_interval():
+    whole, _ = adaptive_simpson(np.exp, 0.0, 2.0, rtol=1e-12)
+    split, _ = adaptive_simpson(np.exp, [0.0, 0.5, 1.7], [0.5, 1.7, 2.0], rtol=1e-12)
+    assert split == pytest.approx(whole, rel=1e-12)
+    assert whole == pytest.approx(math.e**2 - 1.0, rel=1e-12)
+    # empty and reversed panels count zero
+    assert adaptive_simpson(np.exp, [0.0, 1.0, 3.0], [2.0, 1.0, 2.0], rtol=1e-12)[0] == \
+        pytest.approx(whole, rel=1e-12)
+
+
+def test_adaptive_simpson_one_call_per_level():
+    calls = []
+
+    def f(x):
+        calls.append(x.shape)
+        return x**3 - x  # Simpson is exact on cubics: every panel accepted at depth 0
+
+    val, err = adaptive_simpson(f, [0.0, 1.0], [1.0, 3.0])
+    assert val == pytest.approx(81.0 / 4.0 - 9.0 / 2.0, rel=1e-14)
+    assert calls == [(3, 2), (2, 2)]
+    calls.clear()
+    adaptive_simpson(lambda x: (calls.append(x.shape), np.sqrt(x))[1], 0.0, 1.0, max_depth=3)
+    assert len(calls) == 1 + 4  # the start, then levels 0..max_depth
 
 
 def test_golden_section_min_quadratic():

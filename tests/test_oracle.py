@@ -24,6 +24,8 @@ from dirac_tunneling import (
 from dirac_tunneling.kinematics import RegimeError
 from dirac_tunneling.oracle import (
     _dwell_integral_detail,
+    _phase_time_stack,
+    _tm_stack,
     default_flux_samples,
     random_evanescent_grid,
 )
@@ -108,6 +110,70 @@ def test_dwell_integral_free_limit():
 def test_dwell_integral_matches_closed(E, V0, a, l):
     s = BarrierSystem(V0=V0, a=a, l=l)
     assert dwell_integral(E, s) == pytest.approx(dwell_time(E, s), rel=1e-7)
+
+
+# Points where k l / pi sits near a multiple of 4: one Simpson panel across the whole
+# gap samples the density's oscillation at the same phase five times, so a quadrature
+# starting from the interfaces alone accepted it at depth 0 and missed by up to 10%.
+ALIASING_POINTS = [
+    (2.764813258117634, 2.5892134431490312, 6.851029872745196, 9.743186231730236),
+    (1.8643854937233861, 1.5885333850873093, 1.2644924460698288, 7.976935759519555),
+    (2.7051101681338485, 2.6198320102883637, 1.0995272262910674, 9.990126396363838),
+    (2.8121015451999707, 1.953591901233556, 11.6324613913151, 9.587087100321279),
+    (1.8, 1.5, 0.7, 4.0 * math.pi / kinematic_point(1.8, SYS_2A).k),  # k l = 4 pi exactly
+]
+
+
+@pytest.mark.parametrize("E, V0, a, l", ALIASING_POINTS)
+def test_dwell_integral_resolves_gap_oscillation(E, V0, a, l):
+    s = BarrierSystem(V0=V0, a=a, l=l)
+    assert dwell_integral(E, s) == pytest.approx(dwell_time(E, s), rel=1e-7)
+
+
+def _assert_stack_matches_views(E, V0, a, l):
+    stacked = _tm_stack(E, V0, a, l)
+    shape = np.broadcast(E, V0, a, l).shape
+    for idx in np.ndindex(shape):
+        e, v, w, s = (float(np.broadcast_to(x, shape)[idx]) for x in (E, V0, a, l))
+        view = tm_solve(e, BarrierSystem(V0=v, a=w, l=s))
+        for field in ("A", "B", "C", "D", "F", "G", "T", "R"):
+            assert getattr(stacked, field).shape == shape
+            assert getattr(stacked, field)[idx] == getattr(view, field)
+
+
+def test_stacked_solve_equals_tm_solve_on_a_grid(random_grid_small):
+    g = random_grid_small
+    _assert_stack_matches_views(g["E"][:60], g["V0"][:60], g["a"][:60], g["l"][:60])
+
+
+def test_stacked_solve_equals_tm_solve_on_a_2d_grid():
+    E = np.linspace(1.5, 2.4, 5)[:, None]
+    _assert_stack_matches_views(E, 1.5, np.linspace(0.0, 3.0, 4), 0.7)
+
+
+def test_stacked_solve_equals_tm_solve_on_the_stencil_shape(random_grid_small):
+    g = random_grid_small
+    E = g["E"][:10]
+    stencil = E + 1e-6 * E * np.array([-1.0, -0.5, 0.5, 1.0])[:, None]
+    _assert_stack_matches_views(stencil, g["V0"][:10], g["a"][:10], g["l"][:10])
+
+
+def test_stacked_phase_time_equals_numeric_phase_time(random_grid_small):
+    g = random_grid_small
+    E, V0, a, l = (g[key][:40] for key in ("E", "V0", "a", "l"))
+    stacked = _phase_time_stack(E, V0, a, l)
+    assert stacked.shape == (40,)
+    for i in range(40):
+        s = BarrierSystem(V0=float(V0[i]), a=float(a[i]), l=float(l[i]))
+        assert stacked[i] == numeric_phase_time(float(E[i]), s)
+
+
+def test_stacked_phase_time_guard_names_the_point():
+    E = np.array([1.8, 1.8])
+    V0 = np.array([1.5, 0.8 + 1e-7])
+    with pytest.raises(RegimeError, match="stencil endpoint E=1.8") as exc:
+        _phase_time_stack(E, V0, 0.7, 0.7)
+    assert exc.value.index == 1
 
 
 def test_dwell_integral_opaque():

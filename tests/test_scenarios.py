@@ -75,7 +75,7 @@ def test_run_sweep_nr_window_guard_names_the_point():
     spec = SweepSpec(swept="energy_E", lo=2.0, hi=2.5 - 1e-7, points=5, system=s, E=1.8,
                      include_nr=True)
     with pytest.raises(ValueError, match=r"nonrelativistic window .* \(sweep point "
-                       r"energy_E=2.5 \(index 4\)\)$") as exc:
+                       r"energy_E=2\.4999999 \(index 4\)\)$") as exc:
         run_sweep(spec)
     assert exc.value.index == 4
 

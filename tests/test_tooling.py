@@ -1,0 +1,43 @@
+"""Repository tooling: the demos run, and the oracle stays independent of the closed forms."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_are_found():
+    assert len(DEMOS) >= 6
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # In a scratch working directory: demos may write their outputs there.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_oracle_uses_no_closed_form_algebra():
+    # The oracle may share the coefficient record with the closed forms, nothing else.
+    allowed = {"amplitudes": {"RegionCoefficients"}, "times": set()}
+    tree = ast.parse((ROOT / "src" / "dirac_tunneling" / "oracle.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            if module in allowed:
+                assert {alias.name for alias in node.names} <= allowed[module], ast.dump(node)
+            if node.module is None or node.module == "dirac_tunneling":
+                assert not {alias.name for alias in node.names} & set(allowed), ast.dump(node)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.rsplit(".", 1)[-1] not in allowed, alias.name
