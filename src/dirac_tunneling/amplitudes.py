@@ -124,8 +124,6 @@ class _Hyperbolics(NamedTuple):
     c2: np.ndarray        # cosh(2qa) e^{-2qa}
     s2: np.ndarray        # sinh(2qa) e^{-2qa}
     s1sq: np.ndarray      # sinh^2(qa) e^{-2qa}
-    c1sq: np.ndarray      # cosh^2(qa) e^{-2qa}
-    s4: np.ndarray        # sinh(4qa) e^{-4qa}
 
 
 class _computed_once(cached_property):
@@ -137,11 +135,12 @@ class _computed_once(cached_property):
 
 
 class _PhaseParts:
-    """Rescaled numerator/denominator pair of the phase, and the trig of kl once each."""
+    """Rescaled numerator/denominator pair of the phase, the trig of kl and beta_hat once each."""
 
-    def __init__(self, gam, dlt, kl, hyp, sin_kl, sin_2kl):
+    def __init__(self, gam, dlt, kl, hyp, sin_kl, sin_2kl, alpha):
         self.gam, self.dlt = gam, dlt     # Gamma e^{-2qa}, Delta e^{-2qa}
         self.kl, self.hyp, self.sin_kl, self.sin_2kl = kl, hyp, sin_kl, sin_2kl
+        self.alpha = alpha
 
     # On first use only: the NR phase reads neither cosine, the phase time only cos 2kl.
     @_computed_once
@@ -151,6 +150,15 @@ class _PhaseParts:
     @_computed_once
     def cos_2kl(self):
         return np.cos(2.0 * self.kl)
+
+    @_computed_once
+    def beta_hat(self):
+        """beta e^{-2qa}, the real ratio with R = beta_hat e^{i[k(2a+l)-pi/2]} U."""
+        al2 = np.square(self.alpha)
+        return ((1.0 + al2) / self.alpha) * (
+            0.5 * self.cos_kl * self.hyp.s2
+            + ((1.0 - al2) / (2.0 * self.alpha)) * self.sin_kl * self.hyp.s1sq
+        )
 
 
 def _prepare(E, V0, a, l, mass):
@@ -170,15 +178,12 @@ def _hyperbolics(q, a) -> _Hyperbolics:
     e2 = np.exp(-2.0 * x)
     e4 = e2 * e2
     shrink = 1.0 - e2
-    grow = 1.0 + e2
     return _Hyperbolics(
         e2=e2,
         e4=e4,
         c2=0.5 * (1.0 + e4),
         s2=0.5 * (1.0 - e4),
         s1sq=0.25 * shrink * shrink,
-        c1sq=0.25 * grow * grow,
-        s4=0.5 * (1.0 - e4 * e4),
     )
 
 
@@ -191,7 +196,7 @@ def _phase_parts(k, q, alpha, a, l) -> _PhaseParts:
     sin_2kl = np.sin(2.0 * kl)
     gam = 8.0 * al2 * hyp.c2 - 4.0 * one * one * sin_kl * sin_kl * hyp.s1sq
     dlt = 4.0 * alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * sin_2kl * hyp.s1sq
-    return _PhaseParts(gam, dlt, kl, hyp, sin_kl, sin_2kl)
+    return _PhaseParts(gam, dlt, kl, hyp, sin_kl, sin_2kl, alpha)
 
 
 def _scaled_transmission(k, alpha, a, parts: _PhaseParts):
@@ -211,16 +216,6 @@ def _scaled_transmission(k, alpha, a, parts: _PhaseParts):
 def _abs_u2(alpha, parts: _PhaseParts):
     """|U|^2 = e^{4qa} |T|^2 in extended precision."""
     return 64.0 * alpha**4 / (parts.gam**2 + parts.dlt**2)
-
-
-def _reflection_ratio(alpha, parts: _PhaseParts):
-    """beta e^{-2qa}, the real ratio with R = beta_hat e^{i[k(2a+l)-pi/2]} U."""
-    al2 = np.square(alpha)
-    hyp = parts.hyp
-    return ((1.0 + al2) / alpha) * (
-        0.5 * parts.cos_kl * hyp.s2
-        + ((1.0 - al2) / (2.0 * alpha)) * parts.sin_kl * hyp.s1sq
-    )
 
 
 def transmission(E: float, system: BarrierSystem) -> complex:
@@ -269,7 +264,7 @@ def scattering_solution(
     """Amplitudes, probabilities and phase in one evaluation."""
     k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
     u = _scaled_transmission(k, al, system.a, parts)
-    beta_hat = _reflection_ratio(al, parts)
+    beta_hat = parts.beta_hat
     abs_u2 = _abs_u2(al, parts)
     phi = float(parts.kl - np.arctan2(parts.dlt, parts.gam))
     if branch_state is not None:
@@ -301,7 +296,7 @@ def region_coefficients(E: float, system: BarrierSystem) -> RegionCoefficients:
     a, l = system.a, system.l
     k_l, q_l, al_l, parts = _prepare(E, system.V0, a, l, system.mass)
     u = complex(_scaled_transmission(k_l, al_l, a, parts))
-    beta_hat = float(_reflection_ratio(al_l, parts))
+    beta_hat = float(parts.beta_hat)
     k, q, al = float(k_l), float(q_l), float(al_l)
     e2 = float(parts.hyp.e2)          # e^{-2qa}
     e1 = math.exp(-q * a)             # e^{-qa}
@@ -358,7 +353,7 @@ def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     E, V0, a, l = (np.asarray(x, dtype=float) for x in (E, V0, a, l))
     k, q, alpha, parts = _prepare(E, V0, a, l, mass)
     u = _scaled_transmission(k, alpha, a, parts)
-    beta_hat = _reflection_ratio(alpha, parts)
+    beta_hat = parts.beta_hat
     abs_u2 = _abs_u2(alpha, parts)
     beta_d = beta_hat.astype(float)
     k_d = k.astype(float)

@@ -17,7 +17,11 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid or out-of-regime
 parameters, 3 internal consistency failure.
 
 CSV files use 12 significant digits, LF line endings and a stable column
-order, so a fixed dataset always produces byte-identical output.  Plot
+order, so a fixed dataset always produces byte-identical output.  Every
+table is rendered with one ``%`` format: a ``%.11e`` row template,
+repeated once per row and filled from the flattened table, gives the same
+bytes as formatting each value with ``f"{v:.11e}"``.  The argument parser
+is built once per process.  Plot
 scripts are plain gnuplot (5.4+ for column-by-name access) reading the
 emitted CSV; saturated reference times appear as dashed lines.
 """
@@ -25,6 +29,7 @@ emitted CSV; saturated reference times appear as dashed lines.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import dataclass
@@ -43,12 +48,7 @@ from .scenarios import (
     find_resonances,
     run_sweep,
 )
-from .times import (
-    ConsistencyError,
-    dwell_time,
-    phase_time_closed,
-    time_report,
-)
+from .times import ConsistencyError, _bulk_times, dwell_time, time_report
 
 __all__ = [
     "RunConfig",
@@ -120,6 +120,7 @@ _DEFAULTS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dirac-tunneling",
@@ -276,36 +277,36 @@ def parse_config(argv=None) -> RunConfig:
     return RunConfig(command=command, **merged)
 
 
-def _format_value(value: float) -> str:
-    return f"{value:.11e}"
+def _render_table(names: list[str], table, constants=()) -> str:
+    """CSV text of a float table: the header line, then one ``%.11e`` row per line.
 
-
-def _dataset_columns(dataset: SweepDataset) -> list[tuple[str, np.ndarray]]:
-    columns = [
-        ("swept", dataset.swept),
-        ("tau_p", dataset.tau_p),
-        ("tau_d", dataset.tau_d),
-        ("tau_i", dataset.tau_i),
-        ("t_free", dataset.t_free),
-        ("t_light", dataset.t_light),
-        ("T2", dataset.magT2),
-    ]
-    if dataset.tau_p_nr is not None:
-        columns.append(("tau_p_nr", dataset.tau_p_nr))
-    if dataset.tau_p_opaque is not None:
-        n = len(dataset)
-        columns.append(("tau_p_opaque", np.full(n, dataset.tau_p_opaque)))
-        columns.append(("tau_d_opaque", np.full(n, dataset.tau_d_opaque)))
-    return columns
+    One row template is repeated per row and filled by a single ``%`` on the
+    flattened table; the bytes equal those of formatting each value with
+    ``f"{v:.11e}"``.  ``constants`` are trailing columns with one value for
+    every row, formatted once into the template.
+    """
+    table = np.asarray(table, dtype=float).reshape(-1, len(names) - len(constants))
+    row = ",".join(["%.11e"] * table.shape[1] + ["%.11e" % c for c in constants]) + "\n"
+    return ",".join(names) + "\n" + (row * len(table)) % tuple(table.ravel().tolist())
 
 
 def _render_csv(dataset: SweepDataset) -> str:
-    columns = _dataset_columns(dataset)
-    lines = [",".join(name for name, _ in columns)]
-    arrays = [np.asarray(values, dtype=float) for _, values in columns]
-    for i in range(len(dataset)):
-        lines.append(",".join(_format_value(arr[i]) for arr in arrays))
-    return "\n".join(lines) + "\n"
+    columns = {
+        "swept": dataset.swept,
+        "tau_p": dataset.tau_p,
+        "tau_d": dataset.tau_d,
+        "tau_i": dataset.tau_i,
+        "t_free": dataset.t_free,
+        "t_light": dataset.t_light,
+        "T2": dataset.magT2,
+    }
+    if dataset.tau_p_nr is not None:
+        columns["tau_p_nr"] = dataset.tau_p_nr
+    names, constants = list(columns), ()
+    if dataset.tau_p_opaque is not None:
+        names += ["tau_p_opaque", "tau_d_opaque"]
+        constants = (dataset.tau_p_opaque, dataset.tau_d_opaque)
+    return _render_table(names, np.column_stack(list(columns.values())), constants)
 
 
 def emit_csv(dataset: SweepDataset, path) -> None:
@@ -404,12 +405,9 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _cmd_point(cfg: RunConfig) -> int:
     system = BarrierSystem(V0=cfg.V0, a=cfg.a, l=cfg.l, mass=cfg.mass)
-    report = time_report(cfg.E, system)
-    row = ",".join(
-        _format_value(v)
-        for v in (report.tau_p, report.tau_d, report.tau_i, report.t_free, report.t_light)
-    )
-    _write_text("tau_p,tau_d,tau_i,t_free,t_light\n" + row + "\n", cfg.out)
+    r = time_report(cfg.E, system)
+    _write_text(_render_table(["tau_p", "tau_d", "tau_i", "t_free", "t_light"],
+                              [r.tau_p, r.tau_d, r.tau_i, r.t_free, r.t_light]), cfg.out)
     return 0
 
 
@@ -453,10 +451,7 @@ def _cmd_figure(cfg: RunConfig) -> int:
 def _cmd_resonances(cfg: RunConfig) -> int:
     system = BarrierSystem(V0=cfg.V0, a=cfg.a, l=max(cfg.l_lo, 0.0), mass=cfg.mass)
     hits = find_resonances(system, cfg.E, (cfg.l_lo, cfg.l_hi))
-    lines = ["l,absR,tau_p,tau_d"]
-    for hit in hits:
-        lines.append(",".join(_format_value(v) for v in hit))
-    _write_text("\n".join(lines) + "\n", cfg.out)
+    _write_text(_render_table(["l", "absR", "tau_p", "tau_d"], hits), cfg.out)
     return 0
 
 
@@ -475,7 +470,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     check("unitarity |T|^2+|R|^2-1", float(np.max(np.abs(bulk["magT2"] + bulk["magR2"] - 1.0))), 1e-12)
 
     # The oracle side is one stacked solve for the coefficients and one for all the
-    # phase-time stencils; the closed forms are evaluated point by point.
+    # phase-time stencils; the closed phase times are one bulk call, the closed
+    # coefficients and the dwell checks are evaluated point by point.
     points = list(zip(E.tolist(), (BarrierSystem(V0=v, a=w, l=s)
                                    for v, w, s in zip(V0.tolist(), a.tolist(), l.tolist()))))
     closed = [region_coefficients(e, s) for e, s in points]
@@ -486,7 +482,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
         worst = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), floor)))
         check(f"closed {name} vs transfer solve", worst, 1e-10)
 
-    tau_p = np.array([phase_time_closed(e, s) for e, s in points])
+    tau_p = _bulk_times(E, V0, a, l)["tau_p"]
     numeric = _phase_time_stack(E, V0, a, l)
     check("phase time closed vs finite difference",
           float(np.max(np.abs(tau_p - numeric) / np.abs(numeric))), 1e-6)

@@ -23,7 +23,13 @@ independent of both the barrier width a and the separation l.
 
 tau_i is always computed two ways, from Im R and from the h2/h3 form; a
 disagreement beyond 1e-8 signals an implementation defect and raises
-ConsistencyError rather than returning either value.
+ConsistencyError rather than returning either value.  h2 and h3 are
+evaluated in factored form through the same rescaled beta, Gamma and
+Delta that build R (their expanded sums cancel at opaque near-resonance
+points), so the check guards the complex assembly of R -- the -i, the
+e^{ik(2a+l)} phase and complex128 rounding -- against a real-arithmetic
+form, not the algebra of beta, Gamma and Delta.  The oracle (transfer
+matrix and dwell quadrature) is the independent check of those.
 """
 
 from __future__ import annotations
@@ -39,7 +45,6 @@ from .amplitudes import (
     _phase_parts,
     _PhaseParts,
     _prepare,
-    _reflection_ratio,
     _scaled_transmission,
 )
 from .kinematics import BarrierSystem, kinematic_point
@@ -142,26 +147,17 @@ def _brace_terms(E, V0, mass, k, q, alpha, a, parts: _PhaseParts):
 
 
 def _h2_h3(alpha, parts: _PhaseParts):
-    """Rescaled (h2, h3) of the closed self-interference form."""
-    hyp = parts.hyp
+    """Rescaled (h2, h3) of the closed self-interference form, factored through beta_hat.
+
+    h3 = (Gamma^2 + Delta^2) / (64 alpha^4) and
+    h2 = alpha / (2 (1 + alpha^2)) * beta_hat * (Gamma cos kl + Delta sin kl).
+    The expanded sums these factor cancel to ~1e-13 of their terms at opaque
+    near-resonance points, which cost 1e-8 of relative accuracy there.
+    """
     al2 = np.square(alpha)
-    al4 = al2 * al2
-    s_kl = parts.sin_kl
-    c_kl = parts.cos_kl
-    s2l = parts.sin_2kl
-    c2l = parts.cos_2kl
-    h2 = (
-        0.5 * alpha * (1.0 - al2) * s2l * hyp.s2 * hyp.s2
-        + al2 * c_kl * c_kl * hyp.s4
-        + alpha * (1.0 - al2) * s2l * hyp.s1sq * hyp.c2
-        + (1.0 - al2) ** 2 * s_kl * s_kl * hyp.s1sq * hyp.s2
-    )
-    h3 = (1.0 / (8.0 * al4)) * (
-        8.0 * al4 * hyp.c1sq * hyp.c1sq
-        + (1.0 + 6.0 * al4 + al4 * al4 - (1.0 - al4) ** 2 * c2l) * hyp.s1sq * hyp.s1sq
-        + al2 * ((1.0 - al2) ** 2 + (1.0 + al2) ** 2 * c2l) * hyp.s2 * hyp.s2
-        + 2.0 * alpha * (1.0 - al2) * (1.0 + al2) ** 2 * s2l * hyp.s1sq * hyp.s2
-    )
+    h2 = (alpha / (2.0 * (1.0 + al2)) * parts.beta_hat
+          * (parts.gam * parts.cos_kl + parts.dlt * parts.sin_kl))
+    h3 = (parts.gam**2 + parts.dlt**2) / (64.0 * al2 * al2)
     return h2, h3
 
 
@@ -208,7 +204,7 @@ def _tau_i_dual(E, V0, a, l, mass, k, alpha, span, parts: _PhaseParts):
     full broadcast shape (for array input) and its (E, V0, a, l).
     """
     u = _scaled_transmission(k, alpha, a, parts)
-    beta_d = np.asarray(_reflection_ratio(alpha, parts), dtype=float)
+    beta_d = np.asarray(parts.beta_hat, dtype=float)
     k_d = np.asarray(k, dtype=float)
     im_r = np.imag(-1.0j * beta_d * np.exp(1.0j * k_d * span) * u)
     from_r = -(mass / np.square(k_d)) * im_r
@@ -337,7 +333,7 @@ def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
     k, q, alpha = _nr_kinematics(E_kin, system.V0, system.mass)
     parts = _phase_parts(k, q, alpha, system.a, system.l)
     u = _scaled_transmission(k, alpha, system.a, parts)
-    beta_d = float(_reflection_ratio(alpha, parts))
+    beta_d = float(parts.beta_hat)
     k_d = float(k)
     im_r = np.imag(-1.0j * beta_d * np.exp(1.0j * k_d * system.span) * u)
     tau_i = -(system.mass / k_d**2) * im_r

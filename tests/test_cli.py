@@ -1,20 +1,52 @@
 """Command line interface: argument handling, file formats, exit codes."""
 
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dirac_tunneling import (
+    FIGURE_IDS,
     BarrierSystem,
     emit_csv,
     emit_plot_script,
     figure_datasets,
+    find_resonances,
     read_csv,
     time_report,
 )
+from dirac_tunneling import cli
 from dirac_tunneling.cli import main, parse_config
+
+
+def _reference_table(names, rows):
+    """The per-value rendering the CLI's one-format tables must reproduce byte for byte.
+
+    Returned as lines with their LF, so that a mismatch is reported by line
+    index (pytest's diff of two long strings takes minutes).
+    """
+    lines = [",".join(names)]
+    lines += [",".join(f"{value:.11e}" for value in row) for row in rows]
+    return [line + "\n" for line in lines]
+
+
+def _lines(text):
+    return text.splitlines(keepends=True)
+
+
+def _reference_dataset_csv(ds):
+    columns = [("swept", ds.swept), ("tau_p", ds.tau_p), ("tau_d", ds.tau_d),
+               ("tau_i", ds.tau_i), ("t_free", ds.t_free), ("t_light", ds.t_light),
+               ("T2", ds.magT2)]
+    if ds.tau_p_nr is not None:
+        columns.append(("tau_p_nr", ds.tau_p_nr))
+    if ds.tau_p_opaque is not None:
+        columns.append(("tau_p_opaque", np.full(len(ds), ds.tau_p_opaque)))
+        columns.append(("tau_d_opaque", np.full(len(ds), ds.tau_d_opaque)))
+    arrays = [np.asarray(values, dtype=float) for _, values in columns]
+    return _reference_table([name for name, _ in columns], zip(*arrays))
 
 
 def test_point_prints_report(capsys):
@@ -150,6 +182,55 @@ def test_figure_csv_bytes_pinned(which, tmp_path):
     out = tmp_path / f"{which}.csv"
     assert main(["figure", which, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == FIGURE_SHA256[which]
+
+
+@pytest.mark.parametrize("which", FIGURE_IDS)
+def test_figure_stdout_matches_per_value_rendering(which, capsys):
+    assert main(["figure", which]) == 0
+    assert _lines(capsys.readouterr().out) == _reference_dataset_csv(figure_datasets(which))
+
+
+def test_point_matches_per_value_rendering(capsys):
+    assert main(["point", "--E", "1.8", "--V0", "1.5", "--a", "0.7", "--l", "0.7"]) == 0
+    r = time_report(1.8, BarrierSystem(V0=1.5, a=0.7, l=0.7))
+    assert _lines(capsys.readouterr().out) == _reference_table(
+        ["tau_p", "tau_d", "tau_i", "t_free", "t_light"],
+        [(r.tau_p, r.tau_d, r.tau_i, r.t_free, r.t_light)])
+
+
+@pytest.mark.parametrize("a, expected_hits", [(0.7, 2), (0.0, 0)])
+def test_resonances_match_per_value_rendering(a, expected_hits, capsys):
+    # a = 0 has R identically zero, so no minima: the output is the header alone.
+    argv = ["resonances", "--E", "1.8", "--V0", "1.5", "--a", str(a),
+            "--l-lo", "0.5", "--l-hi", "4.0"]
+    assert main(argv) == 0
+    hits = find_resonances(BarrierSystem(V0=1.5, a=a, l=0.5), 1.8, (0.5, 4.0))
+    assert len(hits) == expected_hits
+    expected = _reference_table(["l", "absR", "tau_p", "tau_d"], hits)
+    assert _lines(capsys.readouterr().out) == expected
+
+
+def test_render_table_matches_per_value_rendering_on_edge_values():
+    values = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+              math.inf, -math.inf, math.nan, 0.1, -123456789.123456789, 9.999999999995e-5]
+    rows = [values[i:i + 2] for i in range(0, len(values) - 1, 2)]
+    assert _lines(cli._render_table(["x", "y"], rows)) == _reference_table(["x", "y"], rows)
+    assert _lines(cli._render_table(["x", "y", "c"], rows, constants=(-0.0,))) == _reference_table(
+        ["x", "y", "c"], [row + [-0.0] for row in rows])
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    sweep = ["sweep", "--swept", "a", "--lo", "0.2", "--hi", "1.0", "--points", "5",
+             "--E", "1.8", "--V0", "1.5", "--l", "0.7"]
+    assert parse_config(sweep + ["--include-nr"]).include_nr is True
+    assert parse_config(sweep).include_nr is False
+    assert cli._build_parser() is cli._build_parser()
+    # usage errors still exit 2 through the reused parser
+    for argv in (sweep + ["--points", "five"], ["point", "--E", "1.8"], ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert parse_config(sweep).points == 5
 
 
 def test_csv_round_trip(tmp_path):

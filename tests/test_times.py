@@ -134,6 +134,80 @@ def test_interference_guard_trips_on_corruption(monkeypatch):
     assert "grid index 1: E=1.8, V0=1.5, a=1.25, l=0.7" in message
 
 
+# Opaque near-resonance points, as (seed, flat index) in
+# random_evanescent_grid(10**6, seed), where the expanded h2/h3 sums
+# cancelled to ~1e-13 of their terms and the dual-form check raised
+# ConsistencyError (relative 1.38e-8, 1.53e-8, 1.45e-6) on a correct tau_i.
+FALSE_ALARM_POINTS = [(2, 245193), (3, 605943), (4, 210306)]
+# tau_i at the seed-3 point: -(m/k^2) Im R from a 50-digit mpmath evaluation.
+SEED3_TAU_I_MPMATH = 0.2773110712875416
+
+
+def _grid_point(seed, index):
+    g = random_evanescent_grid(10**6, seed=seed)
+    return tuple(float(g[name][index]) for name in ("E", "V0", "a", "l"))
+
+
+def test_dual_forms_agree_at_opaque_near_resonance_points():
+    points = np.array([_grid_point(*where) for where in FALSE_ALARM_POINTS])
+    tau_i = _bulk_times(*points.T)["tau_i"]
+    for (E, V0, a, l), bulk in zip(points.tolist(), tau_i.tolist()):
+        scalar = self_interference_delay(E, BarrierSystem(V0=V0, a=a, l=l))
+        assert abs(scalar - bulk) <= 1e-13 * abs(bulk)
+    E = points[1, 0]
+    assert abs(tau_i[1] - SEED3_TAU_I_MPMATH) <= 1e-12 / ((E - 1.0) * (E + 1.0))
+
+
+def test_h2_h3_factored_forms_match_expanded_sums():
+    # h3 = (Gamma^2 + Delta^2) / (64 alpha^4) and
+    # h2 = alpha / (2 (1 + alpha^2)) beta (Gamma cos kl + Delta sin kl), checked
+    # at 50 digits against the expanded sums, with everything rescaled by e^{-2qa}.
+    mp = pytest.importorskip("mpmath")
+    g = random_evanescent_grid(17, seed=23)
+    points = list(zip(*(g[name].tolist() for name in ("E", "V0", "a", "l"))))
+    points += [_grid_point(*where) for where in FALSE_ALARM_POINTS]
+    for E, V0, a, l in points:
+        with mp.workdps(50):
+            Em, Vm, am, lm = (mp.mpf(x) for x in (E, V0, a, l))
+            k = mp.sqrt((Em - 1) * (Em + 1))
+            d = Em - Vm
+            q = mp.sqrt((1 - d) * (1 + d))
+            al = (k / q) * (d + 1) / (Em + 1)
+            al2, al4 = al**2, al**4
+            e2 = mp.exp(-2 * q * am)
+            e4 = e2**2
+            c2, s2, s4 = (1 + e4) / 2, (1 - e4) / 2, (1 - e4**2) / 2
+            s1sq, c1sq = (1 - e2) ** 2 / 4, (1 + e2) ** 2 / 4
+            kl = k * lm
+            skl, ckl, s2l, c2l = mp.sin(kl), mp.cos(kl), mp.sin(2 * kl), mp.cos(2 * kl)
+            gam = 8 * al2 * c2 - 4 * (1 + al2) ** 2 * skl**2 * s1sq
+            dlt = 4 * al * (1 - al2) * s2 + 2 * (1 + al2) ** 2 * s2l * s1sq
+            beta = ((1 + al2) / al) * (ckl * s2 / 2 + ((1 - al2) / (2 * al)) * skl * s1sq)
+            h2_terms = [
+                al * (1 - al2) * s2l * s2**2 / 2,
+                al2 * ckl**2 * s4,
+                al * (1 - al2) * s2l * s1sq * c2,
+                (1 - al2) ** 2 * skl**2 * s1sq * s2,
+            ]
+            h3_terms = [
+                8 * al4 * c1sq**2,
+                (1 + 6 * al4 + al4**2 - (1 - al4) ** 2 * c2l) * s1sq**2,
+                al2 * ((1 - al2) ** 2 + (1 + al2) ** 2 * c2l) * s2**2,
+                2 * al * (1 - al2) * (1 + al2) ** 2 * s2l * s1sq * s2,
+            ]
+            h2 = al / (2 * (1 + al2)) * beta * (gam * ckl + dlt * skl)
+            h3 = (gam**2 + dlt**2) / (64 * al4)
+            # The sums cancel, so the check is relative to the size of their terms.
+            tol = mp.mpf("1e-45")
+            assert abs(sum(h2_terms) - h2) <= tol * sum(abs(t) for t in h2_terms)
+            assert abs(sum(h3_terms) - 8 * al4 * h3) <= tol * sum(abs(t) for t in h3_terms)
+        # Near resonance Gamma and Delta cancel to ~1e-6 of their terms in
+        # longdouble, which leaves ~4e-13 of relative error in h2 and h3.
+        terms = appendix_terms(E, BarrierSystem(V0=V0, a=a, l=l))
+        assert abs(terms.h2 - float(h2)) <= 1e-11 * abs(float(h2))
+        assert abs(terms.h3 - float(h3)) <= 1e-11 * float(h3)
+
+
 def test_dwell_positive_on_random_grid():
     g = random_evanescent_grid(300, seed=23)
     out = _bulk_times(g["E"], g["V0"], g["a"], g["l"])
