@@ -28,14 +28,18 @@ together, and evaluating them costs several digits to cancellation.  The
 real combinations are therefore assembled in extended precision
 (np.longdouble, 80-bit on x86 Linux) starting from (E, V0), and rounded
 to double only at the API boundary.  This keeps |T|^2 + |R|^2 - 1 at the
-1e-15 level even for points drawn arbitrarily close to a resonance;
-plain double would lose up to five digits there.
+1e-15 level away from resonances and within about 1.4e-13 at points
+drawn close to one (1.41e-13 on the resonance points of perfbench's
+50-digit accuracy grid); plain double would lose up to five digits there.
+
+Every formula above is written once, in the record `_prepare` returns:
+the scalar functions, the bulk ones and the times are all views of it.
 
 Phases computed by atan2 are defined modulo pi.  Single-point calls return
 the principal branch; a caller stepping through points one at a time can
 thread a PhaseTracker through `transmission_phase` / `scattering_solution`,
-and `scenarios.run_sweep` unwraps the whole bulk phase array with
-`numerics.continue_branch`.
+and `scenarios.run_sweep` continues the whole bulk phase array with
+`numerics.continue_branch`, which applies the same rule in one pass.
 """
 
 from __future__ import annotations
@@ -134,13 +138,30 @@ class _computed_once(cached_property):
         return value
 
 
-class _PhaseParts:
-    """Rescaled numerator/denominator pair of the phase, the trig of kl and beta_hat once each."""
+class _ClosedForm:
+    """The closed solution at one point or over a grid: every formula, once.
 
-    def __init__(self, gam, dlt, kl, hyp, sin_kl, sin_2kl, alpha):
-        self.gam, self.dlt = gam, dlt     # Gamma e^{-2qa}, Delta e^{-2qa}
-        self.kl, self.hyp, self.sin_kl, self.sin_2kl = kl, hyp, sin_kl, sin_2kl
-        self.alpha = alpha
+    Holds the validated inputs (E, V0, a, l, mass), the span 2a + l, the
+    extended-precision k, q, alpha, the rescaled Gamma and Delta (``gam``,
+    ``dlt``), the hyperbolics and the sines of kl.  Everything else is
+    computed on first use.  Each quantity keeps the shape of the inputs it
+    depends on.  Real quantities stay in extended precision; U, T and R
+    are complex128.
+    """
+
+    def __init__(self, E, V0, a, l, mass, k, q, alpha):
+        self.E, self.V0, self.a, self.l, self.mass = E, V0, a, l, mass
+        self.k, self.q, self.alpha = k, q, alpha
+        self.span = 2.0 * a + l
+        self.hyp = hyp = _hyperbolics(q, a)
+        self.kl = kl = np.multiply(k, l)
+        al2 = np.square(alpha)
+        one = 1.0 + al2
+        self.sin_kl = sin_kl = np.sin(kl)
+        self.sin_2kl = sin_2kl = np.sin(2.0 * kl)
+        # Gamma e^{-2qa} and Delta e^{-2qa}
+        self.gam = 8.0 * al2 * hyp.c2 - 4.0 * one * one * sin_kl * sin_kl * hyp.s1sq
+        self.dlt = 4.0 * alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * sin_2kl * hyp.s1sq
 
     # On first use only: the NR phase reads neither cosine, the phase time only cos 2kl.
     @_computed_once
@@ -160,12 +181,51 @@ class _PhaseParts:
             + ((1.0 - al2) / (2.0 * self.alpha)) * self.sin_kl * self.hyp.s1sq
         )
 
+    @_computed_once
+    def u(self):
+        """U = e^{2qa} T, an O(1) complex128 quantity.
 
-def _prepare(E, V0, a, l, mass):
-    """Validate, then (k, q, alpha, phase parts): the one entry to the closed forms."""
+        Gamma and Delta are rounded to double here; their extended-precision
+        values are accurate to ~1e-18 relative, so the rounding costs one ulp
+        even where the doubles-only evaluation would lose digits.
+        """
+        al2 = np.square(self.alpha).astype(float)
+        gam, dlt = self.gam.astype(float), self.dlt.astype(float)
+        ka = np.multiply(self.k, self.a).astype(float)
+        return 8.0 * al2 * np.exp(-2.0j * ka) / (gam + 1.0j * dlt)
+
+    @_computed_once
+    def abs_u2(self):
+        """|U|^2 = e^{4qa} |T|^2."""
+        return 64.0 * self.alpha**4 / (self.gam**2 + self.dlt**2)
+
+    @_computed_once
+    def T(self):
+        return self.hyp.e2.astype(float) * self.u
+
+    @_computed_once
+    def R(self):
+        beta_d, k_d = self.beta_hat.astype(float), self.k.astype(float)
+        return -1.0j * beta_d * np.exp(1.0j * k_d * self.span) * self.u
+
+    @_computed_once
+    def phi_t(self):
+        """Principal-branch transmission phase kl - atan2(Delta, Gamma)."""
+        return self.kl - np.arctan2(self.dlt, self.gam)
+
+    @_computed_once
+    def magT2(self):
+        return self.hyp.e4 * self.abs_u2
+
+    @_computed_once
+    def magR2(self):
+        return self.beta_hat**2 * self.abs_u2
+
+
+def _prepare(E, V0, a, l, mass) -> _ClosedForm:
+    """Validate, then the closed-form record: the one entry to the closed forms."""
     _validate(E, V0, a, l, mass)
-    k, q, alpha = _extended_kinematics(E, V0, mass)
-    return k, q, alpha, _phase_parts(k, q, alpha, a, l)
+    return _ClosedForm(E, V0, a, l, mass, *_extended_kinematics(E, V0, mass))
 
 
 def _full_shape(x, like):
@@ -185,37 +245,6 @@ def _hyperbolics(q, a) -> _Hyperbolics:
         s2=0.5 * (1.0 - e4),
         s1sq=0.25 * shrink * shrink,
     )
-
-
-def _phase_parts(k, q, alpha, a, l) -> _PhaseParts:
-    hyp = _hyperbolics(q, a)
-    kl = np.multiply(k, l)
-    al2 = np.square(alpha)
-    one = 1.0 + al2
-    sin_kl = np.sin(kl)
-    sin_2kl = np.sin(2.0 * kl)
-    gam = 8.0 * al2 * hyp.c2 - 4.0 * one * one * sin_kl * sin_kl * hyp.s1sq
-    dlt = 4.0 * alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * sin_2kl * hyp.s1sq
-    return _PhaseParts(gam, dlt, kl, hyp, sin_kl, sin_2kl, alpha)
-
-
-def _scaled_transmission(k, alpha, a, parts: _PhaseParts):
-    """U = e^{2qa} T, an O(1) complex128 quantity.
-
-    Gamma and Delta are rounded to double here; their extended-precision
-    values are accurate to ~1e-18 relative, so the rounding costs one ulp
-    even where the doubles-only evaluation would lose digits.
-    """
-    al2 = np.asarray(np.square(alpha), dtype=float)
-    gam = np.asarray(parts.gam, dtype=float)
-    dlt = np.asarray(parts.dlt, dtype=float)
-    ka = np.asarray(np.multiply(k, a), dtype=float)
-    return 8.0 * al2 * np.exp(-2.0j * ka) / (gam + 1.0j * dlt)
-
-
-def _abs_u2(alpha, parts: _PhaseParts):
-    """|U|^2 = e^{4qa} |T|^2 in extended precision."""
-    return 64.0 * alpha**4 / (parts.gam**2 + parts.dlt**2)
 
 
 def transmission(E: float, system: BarrierSystem) -> complex:
@@ -262,21 +291,16 @@ def scattering_solution(
     branch_state: PhaseTracker | None = None,
 ) -> ScatteringSolution:
     """Amplitudes, probabilities and phase in one evaluation."""
-    k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
-    u = _scaled_transmission(k, al, system.a, parts)
-    beta_hat = parts.beta_hat
-    abs_u2 = _abs_u2(al, parts)
-    phi = float(parts.kl - np.arctan2(parts.dlt, parts.gam))
+    rec = _prepare(E, system.V0, system.a, system.l, system.mass)
+    phi = float(rec.phi_t)
     if branch_state is not None:
         phi = branch_state.update(phi)
     return ScatteringSolution(
-        T=complex(float(parts.hyp.e2) * u),
-        R=complex(
-            -1.0j * float(beta_hat) * cmath.exp(1.0j * float(k) * system.span) * u
-        ),
+        T=complex(rec.T),
+        R=complex(rec.R),
         phi_t=phi,
-        magT2=float(parts.hyp.e4 * abs_u2),
-        magR2=float(beta_hat**2 * abs_u2),
+        magT2=float(rec.magT2),
+        magR2=float(rec.magR2),
     )
 
 
@@ -294,11 +318,10 @@ def region_coefficients(E: float, system: BarrierSystem) -> RegionCoefficients:
     magnitude drops below the subnormal range.
     """
     a, l = system.a, system.l
-    k_l, q_l, al_l, parts = _prepare(E, system.V0, a, l, system.mass)
-    u = complex(_scaled_transmission(k_l, al_l, a, parts))
-    beta_hat = float(parts.beta_hat)
-    k, q, al = float(k_l), float(q_l), float(al_l)
-    e2 = float(parts.hyp.e2)          # e^{-2qa}
+    rec = _prepare(E, system.V0, a, l, system.mass)
+    u = complex(rec.u)
+    k, q, al = float(rec.k), float(rec.q), float(rec.alpha)
+    e2 = float(rec.hyp.e2)            # e^{-2qa}
     e1 = math.exp(-q * a)             # e^{-qa}
     shrink = 1.0 - e2
     # c_hat = cosh(qa) e^{-qa} + i (...) sinh(qa) e^{-qa}, similarly d_hat
@@ -318,8 +341,8 @@ def region_coefficients(E: float, system: BarrierSystem) -> RegionCoefficients:
         D=d_hat * cmath.exp(1.0j * k * (3.0 * a + 2.0 * l)) * e1 * u,
         F=0.5 * minus * eikw * math.exp(q * l) * u,
         G=0.5 * plus * eikw * math.exp(-q * span) * e2 * u,
-        T=e2 * u,
-        R=-1.0j * beta_hat * eikw * u,
+        T=complex(rec.T),
+        R=complex(rec.R),
     )
 
 
@@ -351,20 +374,14 @@ def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
         RegimeError at the first grid point outside the evanescent window.
     """
     E, V0, a, l = (np.asarray(x, dtype=float) for x in (E, V0, a, l))
-    k, q, alpha, parts = _prepare(E, V0, a, l, mass)
-    u = _scaled_transmission(k, alpha, a, parts)
-    beta_hat = parts.beta_hat
-    abs_u2 = _abs_u2(alpha, parts)
-    beta_d = beta_hat.astype(float)
-    k_d = k.astype(float)
-    span = 2.0 * a + l
+    rec = _prepare(E, V0, a, l, mass)
     return {
-        "k": _full_shape(k_d, u),
-        "q": _full_shape(q.astype(float), u),
-        "alpha": _full_shape(alpha.astype(float), u),
-        "T": parts.hyp.e2.astype(float) * u,
-        "R": -1.0j * beta_d * np.exp(1.0j * k_d * span) * u,
-        "phi_t": (parts.kl - np.arctan2(parts.dlt, parts.gam)).astype(float),
-        "magT2": (parts.hyp.e4 * abs_u2).astype(float),
-        "magR2": (beta_hat**2 * abs_u2).astype(float),
+        "k": _full_shape(rec.k.astype(float), rec.u),
+        "q": _full_shape(rec.q.astype(float), rec.u),
+        "alpha": _full_shape(rec.alpha.astype(float), rec.u),
+        "T": rec.T,
+        "R": rec.R,
+        "phi_t": rec.phi_t.astype(float),
+        "magT2": rec.magT2.astype(float),
+        "magR2": rec.magR2.astype(float),
     }

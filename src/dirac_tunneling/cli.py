@@ -48,7 +48,7 @@ from .scenarios import (
     find_resonances,
     run_sweep,
 )
-from .times import ConsistencyError, _bulk_times, dwell_time, time_report
+from .times import ConsistencyError, _bulk_times, time_report
 
 __all__ = [
     "RunConfig",
@@ -470,8 +470,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
     check("unitarity |T|^2+|R|^2-1", float(np.max(np.abs(bulk["magT2"] + bulk["magR2"] - 1.0))), 1e-12)
 
     # The oracle side is one stacked solve for the coefficients and one for all the
-    # phase-time stencils; the closed phase times are one bulk call, the closed
-    # coefficients and the dwell checks are evaluated point by point.
+    # phase-time stencils; the closed times are one bulk call, the closed
+    # coefficients and the dwell quadratures are evaluated point by point.
     points = list(zip(E.tolist(), (BarrierSystem(V0=v, a=w, l=s)
                                    for v, w, s in zip(V0.tolist(), a.tolist(), l.tolist()))))
     closed = [region_coefficients(e, s) for e, s in points]
@@ -482,16 +482,15 @@ def _cmd_verify(cfg: RunConfig) -> int:
         worst = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), floor)))
         check(f"closed {name} vs transfer solve", worst, 1e-10)
 
-    tau_p = _bulk_times(E, V0, a, l)["tau_p"]
+    times = _bulk_times(E, V0, a, l)
     numeric = _phase_time_stack(E, V0, a, l)
     check("phase time closed vs finite difference",
-          float(np.max(np.abs(tau_p - numeric) / np.abs(numeric))), 1e-6)
+          float(np.max(np.abs(times["tau_p"] - numeric) / np.abs(numeric))), 1e-6)
 
     n_dwell = min(cfg.count, 25)
     quad = np.array([dwell_integral(e, s) for e, s in points[:n_dwell]])
-    tau_d = np.array([dwell_time(e, s) for e, s in points[:n_dwell]])
     check(f"dwell quadrature vs tau_p - tau_i ({n_dwell} pts)",
-          float(np.max(np.abs(quad - tau_d) / np.abs(quad))), 1e-6)
+          float(np.max(np.abs(quad - times["tau_d"][:n_dwell]) / np.abs(quad))), 1e-6)
 
     if failures:
         print(f"FAILED: {', '.join(failures)}")

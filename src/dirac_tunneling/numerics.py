@@ -9,6 +9,9 @@ four-point stencil in one call; the minimizer steps arrays of brackets
 in lock-step, one objective call per step.  Kept separate so the
 oracle-style routines can depend on them without touching the
 closed-form layer.
+
+Branch continuation has one rule, `continue_branch`; PhaseTracker
+applies it one value at a time and `phase_derivative` to its stencil.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ class PhaseTracker:
 
     atan2-based phases jump by the period when the underlying point
     crosses a branch cut.  Feeding the principal values through
-    :meth:`update` in sweep order removes the jumps: each value is shifted
-    by the integer multiple of the period that brings it closest to the
-    previous continued value.
+    :meth:`update` in sweep order removes the jumps by the rule of
+    :func:`continue_branch`, applied one value at a time: threading a
+    sequence through a fresh tracker gives the same values, bit for bit.
 
     The first call fixes the branch to the principal one, which pins the
     overall additive constant of the continued phase.
@@ -44,28 +47,31 @@ class PhaseTracker:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period}")
         self.period = period
-        self._last: float | None = None
+        self.reset()
 
     def update(self, principal: float) -> float:
         """Absorb one principal value, return its continued counterpart."""
-        if self._last is None:
-            value = principal
-        else:
-            value = principal + self.period * round((self._last - principal) / self.period)
-        self._last = value
-        return value
+        if self._last is not None:
+            self._jumps += round((principal - self._last) / self.period)
+        self._last = principal
+        return principal - self.period * self._jumps
 
     def reset(self) -> None:
-        self._last = None
+        self._last: float | None = None
+        self._jumps = 0
 
 
 def continue_branch(values: Sequence[float], period: float = math.pi) -> np.ndarray:
-    """Unwrap a sequence of principal phase values in one shot.
+    """Continue phases defined modulo ``period`` along axis 0.
 
-    Equivalent to threading the sequence through a fresh
-    :class:`PhaseTracker`, but vectorized.
+    Each step between successive values, rounded to whole periods (ties to
+    even), counts as that many jumps; each value is shifted by the period
+    times the jumps before it.  Keeps a floating input dtype, else float64.
     """
-    return np.unwrap(np.asarray(values, dtype=float), period=period)
+    values = np.asarray(values)
+    values = values.astype(np.result_type(values, float), copy=False)
+    jumps = np.rint((values[1:] - values[:-1]) / period)
+    return np.concatenate((values[:1], values[1:] - period * jumps.cumsum(axis=0)))
 
 
 def phase_derivative(
@@ -77,16 +83,15 @@ def phase_derivative(
     """Richardson-extrapolated central derivative of a phase-like function.
 
     Evaluates ``f`` once, on the stacked stencil x -+ h, x -+ h/2 (a
-    leading axis of four, so ``x`` and ``h`` may be arrays), unwraps the
-    four samples with the given period (pass ``period=None`` for an
-    ordinary smooth function), and combines the two central differences
-    as (4 D(h/2) - D(h)) / 3, cancelling the leading O(h^2) error.
+    leading axis of four, so ``x`` and ``h`` may be arrays), continues the
+    four samples' branch with :func:`continue_branch` (pass ``period=None``
+    for an ordinary smooth function), and combines the two central
+    differences as (4 D(h/2) - D(h)) / 3, cancelling the leading O(h^2)
+    error.
     """
     samples = f(np.array([x - h, x - h / 2, x + h / 2, x + h]))
     if period is not None:
-        # Shift each sample by the multiple of the period nearest its step from the last.
-        jumps = np.rint((samples[1:] - samples[:-1]) / period)
-        samples = np.concatenate((samples[:1], samples[1:] - period * jumps.cumsum(axis=0)))
+        samples = continue_branch(samples, period)
     coarse = (samples[3] - samples[0]) / (2.0 * h)
     fine = (samples[2] - samples[1]) / h
     return (4.0 * fine - coarse) / 3.0

@@ -31,7 +31,7 @@ import numpy as np
 
 from .kinematics import BarrierSystem, RegimeError, regime_error
 from .numerics import continue_branch, golden_section_min
-from .amplitudes import _abs_u2, _prepare
+from .amplitudes import _prepare
 from .times import _NRWindowError, _bulk_nr_phase_time, _bulk_times, opaque_limit_times
 
 __all__ = [
@@ -196,9 +196,8 @@ def find_resonances(
     V0, a, mass = system.V0, system.a, system.mass
 
     def mag_r2(l):
-        # The bits of bulk_amplitudes' magR2, without its other outputs.
-        _, _, alpha, parts = _prepare(E, V0, a, l, mass)
-        return (parts.beta_hat ** 2 * _abs_u2(alpha, parts)).astype(float)
+        # bulk_amplitudes' magR2, without its other outputs.
+        return _prepare(E, V0, a, l, mass).magR2.astype(float)
 
     grid = np.linspace(lo, hi, scan_points)
     r2 = mag_r2(grid)

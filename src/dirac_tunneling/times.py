@@ -19,17 +19,21 @@ an explicit form (1+alpha^2)/(4 alpha^3) * (m/k^2) * h2/h3.  Both are
 evaluated with the e^{2qa} growth divided out (see `amplitudes`), making
 them usable at arbitrarily large qa, which is exactly where the saturated
 (Hartman) regime lives: as qa grows, tau_p, tau_d and tau_i become
-independent of both the barrier width a and the separation l.
+independent of both the barrier width a and the separation l.  Every
+time reads Gamma, Delta, beta and R from the closed-form record of
+`amplitudes`; the nonrelativistic times use that record with
+Schroedinger kinematics.
 
-tau_i is always computed two ways, from Im R and from the h2/h3 form; a
-disagreement beyond 1e-8 signals an implementation defect and raises
-ConsistencyError rather than returning either value.  h2 and h3 are
-evaluated in factored form through the same rescaled beta, Gamma and
-Delta that build R (their expanded sums cancel at opaque near-resonance
-points), so the check guards the complex assembly of R -- the -i, the
-e^{ik(2a+l)} phase and complex128 rounding -- against a real-arithmetic
-form, not the algebra of beta, Gamma and Delta.  The oracle (transfer
-matrix and dwell quadrature) is the independent check of those.
+The relativistic tau_i is always computed two ways, from Im R and from
+the h2/h3 form; a disagreement beyond 1e-8 signals an implementation
+defect and raises ConsistencyError rather than returning either value.
+h2 and h3 are evaluated in factored form through the same rescaled
+beta, Gamma and Delta that build R (their expanded sums cancel at opaque
+near-resonance points), so the check guards the complex assembly of R --
+the -i, the e^{ik(2a+l)} phase and complex128 rounding -- against a
+real-arithmetic form, not the algebra of beta, Gamma and Delta.  The
+oracle (transfer matrix and dwell quadrature) is the independent check
+of those.
 """
 
 from __future__ import annotations
@@ -39,15 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import (
-    _abs_u2,
-    _full_shape,
-    _phase_parts,
-    _PhaseParts,
-    _prepare,
-    _scaled_transmission,
-)
+from .amplitudes import _ClosedForm, _full_shape, _prepare
 from .kinematics import BarrierSystem, kinematic_point
+from .numerics import continue_branch
 
 __all__ = [
     "AppendixTerms",
@@ -118,18 +116,18 @@ class AppendixTerms:
     h3: float
 
 
-def _brace_terms(E, V0, mass, k, q, alpha, a, parts: _PhaseParts):
-    """Rescaled braces (B_Delta, B_Gamma) of the phase-time expression."""
-    hyp = parts.hyp
+def _h1(rec: _ClosedForm):
+    """Rescaled h1 = Delta B_Delta + Gamma B_Gamma, from the braces B of the phase time."""
+    E, V0, mass, k, q, alpha, hyp = rec.E, rec.V0, rec.mass, rec.k, rec.q, rec.alpha, rec.hyp
     al2 = np.square(alpha)
     P = 1.0 + al2
-    kl2 = 2.0 * parts.kl
-    s2l = parts.sin_2kl
-    c2l = parts.cos_2kl
+    kl2 = 2.0 * rec.kl
+    s2l = rec.sin_2kl
+    c2l = rec.cos_2kl
     ksq = np.square(k)
     qsq = np.square(q)
     ksum = ksq + qsq
-    two_qa = 2.0 * np.multiply(q, a)
+    two_qa = 2.0 * np.multiply(q, rec.a)
     # The terms linear in 2qa cancel against each other in h1 as qa -> inf;
     # with all hyperbolics O(1) the cancellation costs no precision.
     b_delta = (
@@ -143,10 +141,10 @@ def _brace_terms(E, V0, mass, k, q, alpha, a, parts: _PhaseParts):
         + (4.0 * alpha * (1.0 - 3.0 * al2) * mass * ksum - P * P * ksq * two_qa * (E - V0) * s2l)
         * hyp.s2
     )
-    return b_delta, b_gamma
+    return rec.dlt * b_delta + rec.gam * b_gamma
 
 
-def _h2_h3(alpha, parts: _PhaseParts):
+def _h2_h3(alpha, parts: _ClosedForm):
     """Rescaled (h2, h3) of the closed self-interference form, factored through beta_hat.
 
     h3 = (Gamma^2 + Delta^2) / (64 alpha^4) and
@@ -161,11 +159,9 @@ def _h2_h3(alpha, parts: _PhaseParts):
     return h2, h3
 
 
-def _tau_p_from(E, V0, mass, k, q, alpha, a, l, parts: _PhaseParts):
-    b_delta, b_gamma = _brace_terms(E, V0, mass, k, q, alpha, a, parts)
-    h1 = parts.dlt * b_delta + parts.gam * b_gamma
-    denom = np.square(k) * np.square(q) * (parts.gam**2 + parts.dlt**2)
-    return np.multiply(l, E) / k - h1 / denom
+def _tau_p(rec: _ClosedForm):
+    denom = np.square(rec.k) * np.square(rec.q) * (rec.gam**2 + rec.dlt**2)
+    return np.multiply(rec.l, rec.E) / rec.k - _h1(rec) / denom
 
 
 def phase_time_closed(E: float, system: BarrierSystem) -> float:
@@ -175,52 +171,42 @@ def phase_time_closed(E: float, system: BarrierSystem) -> float:
     differentiation accuracy, but stays exact in the opaque regime where
     finite differences lose the signal.
     """
-    k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
-    return float(
-        _tau_p_from(E, system.V0, system.mass, k, q, al, system.a, system.l, parts)
-    )
+    return float(_tau_p(_prepare(E, system.V0, system.a, system.l, system.mass)))
 
 
 def appendix_terms(E: float, system: BarrierSystem) -> AppendixTerms:
     """The rescaled (Gamma, Delta, h1, h2, h3) at one parameter point."""
-    k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
-    b_delta, b_gamma = _brace_terms(
-        E, system.V0, system.mass, k, q, al, system.a, parts
-    )
-    h2, h3 = _h2_h3(al, parts)
+    rec = _prepare(E, system.V0, system.a, system.l, system.mass)
+    h2, h3 = _h2_h3(rec.alpha, rec)
     return AppendixTerms(
-        Gamma=float(parts.gam),
-        Delta=float(parts.dlt),
-        h1=float(parts.dlt * b_delta + parts.gam * b_gamma),
+        Gamma=float(rec.gam),
+        Delta=float(rec.dlt),
+        h1=float(_h1(rec)),
         h2=float(h2),
         h3=float(h3),
     )
 
 
-def _tau_i_dual(E, V0, a, l, mass, k, alpha, span, parts: _PhaseParts):
-    """Both tau_i forms with the built-in agreement check.
+def _tau_i_dual(rec: _ClosedForm):
+    """Both tau_i forms with the built-in agreement check; returns the Im R form.
 
     On failure the message names the worst point: its flat index in the
     full broadcast shape (for array input) and its (E, V0, a, l).
     """
-    u = _scaled_transmission(k, alpha, a, parts)
-    beta_d = np.asarray(parts.beta_hat, dtype=float)
-    k_d = np.asarray(k, dtype=float)
-    im_r = np.imag(-1.0j * beta_d * np.exp(1.0j * k_d * span) * u)
-    from_r = -(mass / np.square(k_d)) * im_r
-    h2, h3 = _h2_h3(alpha, parts)
+    mass, k, alpha = rec.mass, rec.k, rec.alpha
+    unit = mass / np.square(k.astype(float))
+    from_r = -unit * np.imag(rec.R)
+    h2, h3 = _h2_h3(alpha, rec)
     al2 = np.square(alpha)
-    from_h = np.asarray(
-        (mass / np.square(k)) * ((1.0 + al2) / (4.0 * al2 * alpha)) * h2 / h3,
-        dtype=float,
-    )
+    from_h = ((mass / np.square(k)) * ((1.0 + al2) / (4.0 * al2 * alpha)) * h2 / h3).astype(float)
     deviation = np.abs(from_r - from_h)
-    scale = np.maximum(np.maximum(np.abs(from_r), np.abs(from_h)), mass / np.square(k_d))
+    scale = np.maximum(np.maximum(np.abs(from_r), np.abs(from_h)), unit)
     bad = deviation > _CONSISTENCY_TOL * scale
     if bad.any():
         ratio = deviation / scale
         i = int(np.argmax(ratio))
-        e, v, w, s = (float(np.broadcast_to(x, ratio.shape).flat[i]) for x in (E, V0, a, l))
+        e, v, w, s = (float(np.broadcast_to(x, ratio.shape).flat[i])
+                      for x in (rec.E, rec.V0, rec.a, rec.l))
         where = "" if ratio.ndim == 0 else f" at grid index {i}"
         raise ConsistencyError(
             f"self-interference delay dual forms disagree (relative {ratio.flat[i]:.3e})"
@@ -256,13 +242,11 @@ def light_transit_time(system: BarrierSystem) -> float:
 
 def time_report(E: float, system: BarrierSystem) -> TimeReport:
     """All time scales at one parameter point."""
-    k, q, al, parts = _prepare(E, system.V0, system.a, system.l, system.mass)
-    tau_p = _tau_p_from(E, system.V0, system.mass, k, q, al, system.a, system.l, parts)
-    tau_i = _tau_i_dual(E, system.V0, system.a, system.l, system.mass, k, al, system.span, parts)
+    rec = _prepare(E, system.V0, system.a, system.l, system.mass)
     return TimeReport.from_split(
-        tau_p=tau_p,
-        tau_i=tau_i,
-        t_free=system.span * E / float(k),
+        tau_p=_tau_p(rec),
+        tau_i=_tau_i_dual(rec),
+        t_free=system.span * E / float(rec.k),
         t_light=system.span,
     )
 
@@ -313,11 +297,9 @@ def _nr_kinematics(E_kin, V0, mass):
     return k, q, k / q
 
 
-def _nr_phase(E_kin, V0, a, l, mass):
-    """Schroedinger-limit transmission phase, same structural formula."""
-    k, q, alpha = _nr_kinematics(E_kin, V0, mass)
-    parts = _phase_parts(k, q, alpha, a, l)
-    return parts.kl - np.arctan2(parts.dlt, parts.gam)
+def _nr_record(E_kin, V0, a, l, mass) -> _ClosedForm:
+    """The closed-form record with Schroedinger-limit kinematics: same structural formulas."""
+    return _ClosedForm(E_kin, V0, a, l, mass, *_nr_kinematics(E_kin, V0, mass))
 
 
 def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
@@ -330,16 +312,11 @@ def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
     ``t_free`` uses the nonrelativistic velocity k/m.
     """
     tau_p = _bulk_nr_phase_time(E_kin, system.V0, system.a, system.l, system.mass)
-    k, q, alpha = _nr_kinematics(E_kin, system.V0, system.mass)
-    parts = _phase_parts(k, q, alpha, system.a, system.l)
-    u = _scaled_transmission(k, alpha, system.a, parts)
-    beta_d = float(parts.beta_hat)
-    k_d = float(k)
-    im_r = np.imag(-1.0j * beta_d * np.exp(1.0j * k_d * system.span) * u)
-    tau_i = -(system.mass / k_d**2) * im_r
+    rec = _nr_record(E_kin, system.V0, system.a, system.l, system.mass)
+    k_d = float(rec.k)
     return TimeReport.from_split(
         tau_p=tau_p,
-        tau_i=tau_i,
+        tau_i=-(system.mass / k_d**2) * np.imag(rec.R),
         t_free=system.span * system.mass / k_d,
         t_light=system.span,
     )
@@ -360,7 +337,7 @@ def _bulk_nr_phase_time(E_kin, V0, a, l, mass=1.0) -> np.ndarray:
         where = "" if i is None else f"grid index {i}: "
         raise _NRWindowError(f"{where}E_kin={e!r}, V0={v!r}, a={w!r}, l={s!r}", i)
     stencil = np.stack([E_kin - h, E_kin - 0.5 * h, E_kin + 0.5 * h, E_kin + h])
-    phases = np.unwrap(_nr_phase(stencil, V0, a, l, mass), period=math.pi, axis=0)
+    phases = continue_branch(_nr_record(stencil, V0, a, l, mass).phi_t)
     coarse = (phases[3] - phases[0]) / (2.0 * h)
     fine = (phases[2] - phases[1]) / h
     return ((4.0 * fine - coarse) / 3.0).astype(float)
@@ -375,16 +352,15 @@ def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     are evaluated on the shape of the inputs they depend on.
     """
     E, V0, a, l = (np.asarray(x, dtype=float) for x in (E, V0, a, l))
-    k, q, alpha, parts = _prepare(E, V0, a, l, mass)
-    span = 2.0 * a + l
-    tau_p = np.asarray(_tau_p_from(E, V0, mass, k, q, alpha, a, l, parts), dtype=float)
-    tau_i = np.asarray(_tau_i_dual(E, V0, a, l, mass, k, alpha, span, parts), dtype=float)
+    rec = _prepare(E, V0, a, l, mass)
+    tau_p = np.asarray(_tau_p(rec), dtype=float)
+    tau_i = np.asarray(_tau_i_dual(rec), dtype=float)
     return {
         "tau_p": tau_p,
         "tau_i": tau_i,
         "tau_d": tau_p - tau_i,
-        "t_free": (span * E / k).astype(float),
-        "t_light": _full_shape(span, tau_p),
-        "magT2": (parts.hyp.e4 * _abs_u2(alpha, parts)).astype(float),
-        "phi_t": (parts.kl - np.arctan2(parts.dlt, parts.gam)).astype(float),
+        "t_free": (rec.span * E / rec.k).astype(float),
+        "t_light": _full_shape(rec.span, tau_p),
+        "magT2": rec.magT2.astype(float),
+        "phi_t": rec.phi_t.astype(float),
     }

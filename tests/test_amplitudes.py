@@ -139,7 +139,7 @@ def test_phase_branch_continuity_energy_sweep():
     threaded = np.array(
         [transmission_phase(float(E), SYS_2A, branch_state=tracker) for E in E_grid]
     )
-    assert np.allclose(threaded, unwrapped, atol=1e-10)
+    assert np.array_equal(threaded, unwrapped)
 
 
 def test_bulk_matches_scalar():

@@ -61,7 +61,29 @@ def test_continue_branch_matches_tracker():
     folded = _principal(true)
     tracker = PhaseTracker()
     threaded = np.array([tracker.update(v) for v in folded])
-    assert np.allclose(continue_branch(folded), threaded, atol=1e-12)
+    assert np.array_equal(continue_branch(folded), threaded)
+
+
+@pytest.mark.parametrize("steps", [[1.0, -1.0, 1.0], [3.0, -3.0, 3.0, 3.0], [1.0, 3.0, -1.0, -3.0]])
+def test_continue_branch_half_period_ties(steps):
+    # Steps of an odd number of half periods are ties, rounded to even: +-1.0
+    # stays, +-3.0 becomes -+1.0.  np.unwrap maps +-3.0 to +-1.0 instead.
+    values = np.cumsum([0.25] + steps)
+    tracker = PhaseTracker(period=2.0)
+    threaded = np.array([tracker.update(v) for v in values.tolist()])
+    continued = continue_branch(values, period=2.0)
+    assert np.array_equal(continued, threaded)
+    assert np.diff(continued).tolist() == [s - 2.0 * round(s / 2.0) for s in steps]
+
+
+def test_continue_branch_along_axis_0_keeps_dtype():
+    true = np.linspace(-4.0, 9.0, 60, dtype=np.longdouble).reshape(20, 3)
+    continued = continue_branch(_principal(true))
+    assert continued.dtype == np.longdouble
+    for column in range(3):
+        assert np.array_equal(continued[:, column], continue_branch(_principal(true[:, column])))
+    assert np.allclose(continued - continued[0], true - true[0], atol=1e-15)
+    assert continue_branch([0.0, 3.0]).dtype == np.float64
 
 
 def test_phase_derivative_plain_function():

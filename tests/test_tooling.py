@@ -41,3 +41,23 @@ def test_oracle_uses_no_closed_form_algebra():
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 assert alias.name.rsplit(".", 1)[-1] not in allowed, alias.name
+
+
+def _calls(name):
+    """File of every call to a function or attribute named ``name`` in the package."""
+    found = []
+    for path in sorted((ROOT / "src" / "dirac_tunneling").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                    found.append(path.name)
+    return found
+
+
+def test_one_phase_formula_and_one_branch_rule():
+    # phi_t = kl - atan2(Delta, Gamma) is written once, in the closed-form record,
+    # and numerics.continue_branch is the only branch-continuation rule.
+    assert _calls("arctan2") == ["amplitudes.py"]
+    assert _calls("unwrap") == []
+    assert _calls("rint") == ["numerics.py"]
