@@ -34,6 +34,7 @@ drawn close to one (1.41e-13 on the resonance points of perfbench's
 
 Every formula above is written once, in the record `_prepare` returns:
 the scalar functions, the bulk ones and the times are all views of it.
+0-d inputs are evaluated as numpy scalars on the same code path as arrays.
 
 Phases computed by atan2 are defined modulo pi.  Single-point calls return
 the principal branch; a caller stepping through points one at a time can
@@ -109,10 +110,10 @@ _LD = np.longdouble
 
 
 def _extended_kinematics(E, V0, mass):
-    """(k, q, alpha) in extended precision; the regime must already be valid."""
-    El = np.asarray(E, dtype=_LD)
-    Vl = np.asarray(V0, dtype=_LD)
-    ml = np.asarray(mass, dtype=_LD)
+    """Extended-precision (k, q, alpha), numpy scalars for 0-d input; the regime must be valid."""
+    El = np.asarray(E, dtype=_LD)[()]
+    Vl = np.asarray(V0, dtype=_LD)[()]
+    ml = np.asarray(mass, dtype=_LD)[()]
     k = np.sqrt((El - ml) * (El + ml))
     diff = El - Vl
     q = np.sqrt((ml - diff) * (ml + diff))
@@ -154,8 +155,8 @@ class _ClosedForm:
         self.k, self.q, self.alpha = k, q, alpha
         self.span = 2.0 * a + l
         self.hyp = hyp = _hyperbolics(q, a)
-        self.kl = kl = np.multiply(k, l)
-        al2 = np.square(alpha)
+        self.kl = kl = k * l
+        al2 = alpha * alpha
         one = 1.0 + al2
         self.sin_kl = sin_kl = np.sin(kl)
         self.sin_2kl = sin_2kl = np.sin(2.0 * kl)
@@ -175,7 +176,7 @@ class _ClosedForm:
     @_computed_once
     def beta_hat(self):
         """beta e^{-2qa}, the real ratio with R = beta_hat e^{i[k(2a+l)-pi/2]} U."""
-        al2 = np.square(self.alpha)
+        al2 = self.alpha * self.alpha
         return ((1.0 + al2) / self.alpha) * (
             0.5 * self.cos_kl * self.hyp.s2
             + ((1.0 - al2) / (2.0 * self.alpha)) * self.sin_kl * self.hyp.s1sq
@@ -189,9 +190,9 @@ class _ClosedForm:
         values are accurate to ~1e-18 relative, so the rounding costs one ulp
         even where the doubles-only evaluation would lose digits.
         """
-        al2 = np.square(self.alpha).astype(float)
-        gam, dlt = self.gam.astype(float), self.dlt.astype(float)
-        ka = np.multiply(self.k, self.a).astype(float)
+        al2 = np.float64(self.alpha * self.alpha)
+        gam, dlt = np.float64(self.gam), np.float64(self.dlt)
+        ka = np.float64(self.k * self.a)
         return 8.0 * al2 * np.exp(-2.0j * ka) / (gam + 1.0j * dlt)
 
     @_computed_once
@@ -201,11 +202,11 @@ class _ClosedForm:
 
     @_computed_once
     def T(self):
-        return self.hyp.e2.astype(float) * self.u
+        return np.float64(self.hyp.e2) * self.u
 
     @_computed_once
     def R(self):
-        beta_d, k_d = self.beta_hat.astype(float), self.k.astype(float)
+        beta_d, k_d = np.float64(self.beta_hat), np.float64(self.k)
         return -1.0j * beta_d * np.exp(1.0j * k_d * self.span) * self.u
 
     @_computed_once
@@ -234,7 +235,7 @@ def _full_shape(x, like):
 
 
 def _hyperbolics(q, a) -> _Hyperbolics:
-    x = np.multiply(q, a)
+    x = q * a
     e2 = np.exp(-2.0 * x)
     e4 = e2 * e2
     shrink = 1.0 - e2

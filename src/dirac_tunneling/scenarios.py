@@ -197,7 +197,7 @@ def find_resonances(
 
     def mag_r2(l):
         # bulk_amplitudes' magR2, without its other outputs.
-        return _prepare(E, V0, a, l, mass).magR2.astype(float)
+        return np.float64(_prepare(E, V0, a, l, mass).magR2)
 
     grid = np.linspace(lo, hi, scan_points)
     r2 = mag_r2(grid)

@@ -119,15 +119,15 @@ class AppendixTerms:
 def _h1(rec: _ClosedForm):
     """Rescaled h1 = Delta B_Delta + Gamma B_Gamma, from the braces B of the phase time."""
     E, V0, mass, k, q, alpha, hyp = rec.E, rec.V0, rec.mass, rec.k, rec.q, rec.alpha, rec.hyp
-    al2 = np.square(alpha)
+    al2 = alpha * alpha
     P = 1.0 + al2
     kl2 = 2.0 * rec.kl
     s2l = rec.sin_2kl
     c2l = rec.cos_2kl
-    ksq = np.square(k)
-    qsq = np.square(q)
+    ksq = k * k
+    qsq = q * q
     ksum = ksq + qsq
-    two_qa = 2.0 * np.multiply(q, rec.a)
+    two_qa = 2.0 * (q * rec.a)
     # The terms linear in 2qa cancel against each other in h1 as qa -> inf;
     # with all hyperbolics O(1) the cancellation costs no precision.
     b_delta = (
@@ -152,7 +152,7 @@ def _h2_h3(alpha, parts: _ClosedForm):
     The expanded sums these factor cancel to ~1e-13 of their terms at opaque
     near-resonance points, which cost 1e-8 of relative accuracy there.
     """
-    al2 = np.square(alpha)
+    al2 = alpha * alpha
     h2 = (alpha / (2.0 * (1.0 + al2)) * parts.beta_hat
           * (parts.gam * parts.cos_kl + parts.dlt * parts.sin_kl))
     h3 = (parts.gam**2 + parts.dlt**2) / (64.0 * al2 * al2)
@@ -160,8 +160,8 @@ def _h2_h3(alpha, parts: _ClosedForm):
 
 
 def _tau_p(rec: _ClosedForm):
-    denom = np.square(rec.k) * np.square(rec.q) * (rec.gam**2 + rec.dlt**2)
-    return np.multiply(rec.l, rec.E) / rec.k - _h1(rec) / denom
+    denom = (rec.k * rec.k) * (rec.q * rec.q) * (rec.gam**2 + rec.dlt**2)
+    return rec.l * rec.E / rec.k - _h1(rec) / denom
 
 
 def phase_time_closed(E: float, system: BarrierSystem) -> float:
@@ -194,16 +194,18 @@ def _tau_i_dual(rec: _ClosedForm):
     full broadcast shape (for array input) and its (E, V0, a, l).
     """
     mass, k, alpha = rec.mass, rec.k, rec.alpha
-    unit = mass / np.square(k.astype(float))
-    from_r = -unit * np.imag(rec.R)
+    k_d = np.float64(k)
+    unit = mass / (k_d * k_d)
+    from_r = -unit * rec.R.imag
     h2, h3 = _h2_h3(alpha, rec)
-    al2 = np.square(alpha)
-    from_h = ((mass / np.square(k)) * ((1.0 + al2) / (4.0 * al2 * alpha)) * h2 / h3).astype(float)
-    deviation = np.abs(from_r - from_h)
-    scale = np.maximum(np.maximum(np.abs(from_r), np.abs(from_h)), unit)
-    bad = deviation > _CONSISTENCY_TOL * scale
-    if bad.any():
-        ratio = deviation / scale
+    al2 = alpha * alpha
+    from_h = np.float64((mass / (k * k)) * ((1.0 + al2) / (4.0 * al2 * alpha)) * h2 / h3)
+    deviation = abs(from_r - from_h)
+    # deviation > tol * max(|from_r|, |from_h|, unit), bit for bit, with no ufunc call on a scalar
+    bad = ((deviation > _CONSISTENCY_TOL * abs(from_r))
+           & (deviation > _CONSISTENCY_TOL * abs(from_h)) & (deviation > _CONSISTENCY_TOL * unit))
+    if np.count_nonzero(bad):
+        ratio = deviation / np.maximum(np.maximum(abs(from_r), abs(from_h)), unit)
         i = int(np.argmax(ratio))
         e, v, w, s = (float(np.broadcast_to(x, ratio.shape).flat[i])
                       for x in (rec.E, rec.V0, rec.a, rec.l))
@@ -231,8 +233,8 @@ def dwell_time(E: float, system: BarrierSystem) -> float:
 
 
 def free_transit_time(E: float, system: BarrierSystem) -> float:
-    """Crossing time of the span at the free group velocity k/E."""
-    return system.span * E / kinematic_point(E, system).k
+    """Crossing time of the span at the free group velocity k/E; ``time_report``'s ``t_free``."""
+    return system.span * E / float(_prepare(E, system.V0, system.a, system.l, system.mass).k)
 
 
 def light_transit_time(system: BarrierSystem) -> float:
@@ -289,9 +291,9 @@ class _NRWindowError(ValueError):
 
 
 def _nr_kinematics(E_kin, V0, mass):
-    Ek = np.asarray(E_kin, dtype=np.longdouble)
-    Vl = np.asarray(V0, dtype=np.longdouble)
-    ml = np.asarray(mass, dtype=np.longdouble)
+    Ek = np.asarray(E_kin, dtype=np.longdouble)[()]
+    Vl = np.asarray(V0, dtype=np.longdouble)[()]
+    ml = np.asarray(mass, dtype=np.longdouble)[()]
     k = np.sqrt(2.0 * ml * Ek)
     q = np.sqrt(2.0 * ml * (Vl - Ek))
     return k, q, k / q
@@ -316,7 +318,7 @@ def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
     k_d = float(rec.k)
     return TimeReport.from_split(
         tau_p=tau_p,
-        tau_i=-(system.mass / k_d**2) * np.imag(rec.R),
+        tau_i=-(system.mass / k_d**2) * rec.R.imag,
         t_free=system.span * system.mass / k_d,
         t_light=system.span,
     )

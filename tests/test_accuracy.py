@@ -1,0 +1,172 @@
+"""Error budget of the closed forms against a 50-digit mpmath reference.
+
+The reference evaluates the unscaled textbook formulas (mpmath carries
+arbitrary exponents, so nothing is rescaled even at qa = 400) and shares
+no code with the package:
+
+    Gamma = 8 al^2 cosh(2qa) - 4 (1+al^2)^2 sin^2(kl) sinh^2(qa)
+    Delta = 4 al (1-al^2) sinh(2qa) + 2 (1+al^2)^2 sin(2kl) sinh^2(qa)
+    beta  = ((1+al^2)/al) sinh(qa) [cos(kl) cosh(qa) + ((1-al^2)/(2al)) sin(kl) sinh(qa)]
+
+    tau_p = d/dE [kl - atan2(Delta, Gamma)]            (mp.diff)
+    tau_i = -(m/k^2) Im R,   R = beta e^{i[k(2a+l) - pi/2]} T,
+                             T = 8 al^2 e^{-2ika} / (Gamma + i Delta)
+    |T|^2 = 64 al^4 / (Gamma^2 + Delta^2)
+
+The seeded grid holds 8 points of each of five kinds: plain points,
+q -> 0 (V0 within 1e-8..1e-2 of E -+ m), k -> 0 (E - m in 1e-8..1e-2),
+near a transmission resonance (relative offset 1e-12..1e-3 from a
+closed-form zero of beta) and opaque barriers (qa up to 400).  Each
+budget is 4 times the worst error of the scalar and bulk paths on this
+grid, measured with the 80-bit longdouble build.  The phase time has a
+budget of its own at q -> 0, where the braces of h1 cancel: there it
+loses up to 2.4e-7, elsewhere at most 6e-14.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from dirac_tunneling import BarrierSystem, scattering_solution, time_report
+from dirac_tunneling.amplitudes import bulk_amplitudes
+from dirac_tunneling.times import _bulk_times
+
+mp = pytest.importorskip("mpmath")
+
+pytestmark = pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63,
+    reason="budgets measured for the 80-bit longdouble build (float64 is ROADMAP item 2(c))",
+)
+
+# 4 times the worst error on the grid, scalar and bulk paths alike.
+BUDGET = {
+    "tau_p": 4 * 5.95e-14,  # relative, all kinds but q -> 0
+    "tau_p_q_edge": 4 * 2.38e-7,  # relative, q -> 0
+    "tau_i": 4 * 5.92e-14,  # absolute, in units of m/k^2
+    "magT2": 4 * 3.79e-14,  # relative, where |T|^2 is a normal double
+    "unitarity": 4 * 3.45e-14,  # |T|^2 + |R|^2 - 1
+}
+
+_PER_KIND = 8
+_NORMAL_MIN = 2.2250738585072014e-308
+
+
+def _kinematics(E, V0, m):
+    k = mp.sqrt((E - m) * (E + m))
+    d = E - V0
+    q = mp.sqrt((m - d) * (m + d))
+    return k, q, (k / q) * (d + m) / (E + m)
+
+
+def _gamma_delta(k, q, al, a, l):
+    one = 1 + al * al
+    sh2 = mp.sinh(q * a) ** 2
+    gam = 8 * al * al * mp.cosh(2 * q * a) - 4 * one**2 * mp.sin(k * l) ** 2 * sh2
+    dlt = 4 * al * (1 - al * al) * mp.sinh(2 * q * a) + 2 * one**2 * mp.sin(2 * k * l) * sh2
+    return gam, dlt
+
+
+def _phase(E, V0, a, l, m):
+    k, q, al = _kinematics(E, V0, m)
+    gam, dlt = _gamma_delta(k, q, al, a, l)
+    return k * l - mp.atan2(dlt, gam)
+
+
+def _reference(E, V0, a, l, m=1.0):
+    """(tau_p, tau_i, |T|^2) at the exact binary values of the double inputs."""
+    with mp.workdps(50):
+        E, V0, a, l, m = (mp.mpf(x) for x in (E, V0, a, l, m))
+        k, q, al = _kinematics(E, V0, m)
+        gam, dlt = _gamma_delta(k, q, al, a, l)
+        sh = mp.sinh(q * a)
+        beta = ((1 + al * al) / al) * sh * (
+            mp.cos(k * l) * mp.cosh(q * a) + ((1 - al * al) / (2 * al)) * mp.sin(k * l) * sh
+        )
+        t_amp = 8 * al * al * mp.expj(-2 * k * a) / (gam + 1j * dlt)
+        r_amp = beta * mp.expj(k * (2 * a + l) - mp.pi / 2) * t_amp
+        tau_p = mp.diff(lambda x: _phase(x, V0, a, l, m), E)
+        tau_i = -(m / k**2) * mp.im(r_amp)
+        return float(tau_p), float(tau_i), float(64 * al**4 / (gam**2 + dlt**2))
+
+
+def _grid():
+    """40 seeded (kind, E, V0, a, l) points, 8 of each kind."""
+    rng = np.random.default_rng(20071)
+    points = []
+
+    def window(E):
+        return float(rng.uniform(max(E - 1.0, 0.0) + 1e-3, E + 1.0 - 1e-3))
+
+    def width():
+        return float(rng.uniform(1e-3, 30.0)), float(rng.uniform(1e-3, 10.0))
+
+    for _ in range(_PER_KIND):
+        E = float(rng.uniform(1.001, 3.0))
+        points.append(("plain", E, window(E), *width()))
+
+        E, eps = float(rng.uniform(1.001, 3.0)), 10.0 ** rng.uniform(-8.0, -2.0)
+        points.append(("q_edge", E, E + 1.0 - eps if rng.integers(2) else E - 1.0 + eps, *width()))
+
+        E = 1.0 + 10.0 ** rng.uniform(-8.0, -2.0)
+        points.append(("k_edge", E, window(E), *width()))
+
+        # beta = 0 where tan(kl) = -2 alpha coth(qa) / (1 - alpha^2)
+        E, a = float(rng.uniform(1.001, 3.0)), float(rng.uniform(0.1, 8.0))
+        V0 = window(E)
+        k, d = math.sqrt(E * E - 1.0), E - V0
+        q = math.sqrt((1.0 - d) * (1.0 + d))
+        al = (k / q) * (d + 1.0) / (E + 1.0)
+        theta = math.atan(-2.0 * al / (math.tanh(q * a) * (1.0 - al * al))) % math.pi
+        l_n = (theta + math.pi * int(rng.integers(5))) / k
+        offset = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-12.0, -3.0)
+        points.append(("resonance", E, V0, a, l_n * (1.0 + offset)))
+
+        E = float(rng.uniform(1.001, 3.0))
+        V0 = window(E)
+        d = E - V0
+        q = math.sqrt((1.0 - d) * (1.0 + d))
+        points.append(("opaque", E, V0, float(rng.uniform(1.0, 400.0)) / q, float(rng.uniform(1e-3, 10.0))))
+    return points
+
+
+_KIND, *_COLUMNS = (np.array(column) for column in zip(*_grid()))
+_Q_EDGE = _KIND == "q_edge"
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return np.array([_reference(*point) for point in zip(*_COLUMNS)])
+
+
+def _errors(ref, tau_p, tau_i, magT2, magR2):
+    """The error measures, elementwise."""
+    E = _COLUMNS[0]
+    normal = ref[:, 2] >= _NORMAL_MIN
+    tau_p_err = np.abs(tau_p - ref[:, 0]) / np.abs(ref[:, 0])
+    return {
+        "tau_p": tau_p_err[~_Q_EDGE],
+        "tau_p_q_edge": tau_p_err[_Q_EDGE],
+        "tau_i": np.abs(tau_i - ref[:, 1]) * ((E - 1.0) * (E + 1.0)),
+        "magT2": np.abs(magT2 - ref[:, 2])[normal] / ref[normal, 2],
+        "unitarity": np.abs(magT2 + magR2 - 1.0),
+    }
+
+
+def _within_budget(errors):
+    over = {key: float(err.max()) for key, err in errors.items() if not err.max() <= BUDGET[key]}
+    assert not over, f"over budget {BUDGET}: {over}"
+
+
+def test_scalar_paths_within_budget(reference):
+    got = []
+    for E, V0, a, l in zip(*(column.tolist() for column in _COLUMNS)):
+        system = BarrierSystem(V0=V0, a=a, l=l)
+        report, sol = time_report(E, system), scattering_solution(E, system)
+        got.append((report.tau_p, report.tau_i, sol.magT2, sol.magR2))
+    _within_budget(_errors(reference, *np.array(got).T))
+
+
+def test_bulk_paths_within_budget(reference):
+    times, amp = _bulk_times(*_COLUMNS), bulk_amplitudes(*_COLUMNS)
+    _within_budget(_errors(reference, times["tau_p"], times["tau_i"], amp["magT2"], amp["magR2"]))

@@ -17,6 +17,7 @@ from dirac_tunneling import (
     transmission,
     transmission_phase,
 )
+from dirac_tunneling.amplitudes import _prepare
 from dirac_tunneling.numerics import continue_branch
 
 SYS_2A = BarrierSystem(V0=1.5, a=0.7, l=0.7)
@@ -152,6 +153,15 @@ def test_bulk_matches_scalar():
         assert out["T"][i] == pytest.approx(sol.T, rel=1e-13)
         assert out["R"][i] == pytest.approx(sol.R, rel=1e-13)
         assert out["phi_t"][i] == pytest.approx(sol.phi_t, rel=1e-13)
+
+
+def test_one_point_record_holds_numpy_scalars():
+    # A 0-d ndarray here gives the same values but sends every later
+    # operation through array dispatch, several times slower per point.
+    rec = _prepare(1.8, 1.5, 0.7, 0.7, 1.0)
+    for name in ("k", "q", "alpha", "gam", "dlt", "u", "R"):
+        value = getattr(rec, name)
+        assert isinstance(value, np.generic), (name, type(value))
 
 
 def test_bulk_reports_offending_grid_index():

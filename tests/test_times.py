@@ -72,6 +72,17 @@ def test_transit_references():
     assert light_transit_time(s) == s.span
 
 
+def test_free_transit_time_equals_time_report_t_free():
+    # Both divide by the extended-precision k rounded to double.
+    g = random_evanescent_grid(3000, seed=7)
+    differ = [
+        i for i, (E, V0, a, l) in enumerate(zip(*(g[key].tolist() for key in ("E", "V0", "a", "l"))))
+        if free_transit_time(E, BarrierSystem(V0=V0, a=a, l=l))
+        != time_report(E, BarrierSystem(V0=V0, a=a, l=l)).t_free
+    ]
+    assert differ == []
+
+
 def test_appendix_terms_reconstruct_phase_time():
     s = BarrierSystem(V0=1.5, a=0.7, l=0.7)
     kp = kinematic_point(1.8, s)
