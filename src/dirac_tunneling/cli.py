@@ -10,8 +10,12 @@ verify      cross-check closed forms against the numerical oracle
 
 Parameters can come from flags, from a ``key=value`` config file passed
 with ``--config`` (one pair per line, ``#`` starts a comment), or both;
-flags override file values.  Unknown or malformed config keys are usage
-errors.
+flags override file values.  Config-file keys are exactly the flag names,
+with underscores (``l_lo`` for ``--l-lo``), and their values pass the same
+type and choice checks as the flags.  Unknown keys, malformed values and
+a ``count`` below 1 are usage errors.  Each key is declared once, in one
+table that builds the parser, checks file values and names what each
+subcommand takes; defaults are those of :class:`RunConfig`.
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid or out-of-regime
 parameters, 3 internal consistency failure.
@@ -38,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from .amplitudes import bulk_amplitudes, region_coefficients
-from .kinematics import BarrierSystem, RegimeError
+from .kinematics import BarrierSystem
 from .oracle import _phase_time_stack, _tm_stack, dwell_integral, random_evanescent_grid
 from .scenarios import (
     FIGURE_IDS,
@@ -86,38 +90,51 @@ class RunConfig:
     format: str = "csv"
 
 
-_FLOAT_KEYS = {"E", "V0", "a", "l", "mass", "lo", "hi", "l_lo", "l_hi"}
-_INT_KEYS = {"points", "count", "seed"}
-_BOOL_KEYS = {"include_nr", "include_opaque_reference"}
+_SYSTEM = ("point", "sweep", "resonances")
+_OUTPUT = ("point", "sweep", "figure", "resonances")
 
-_COMMAND_KEYS = {
-    "point": {"E", "V0", "a", "l", "mass", "out"},
-    "sweep": {
-        "swept", "lo", "hi", "points", "E", "V0", "a", "l", "mass",
-        "include_nr", "include_opaque_reference", "out", "format",
-    },
-    "figure": {"figure", "out", "format"},
-    "resonances": {"E", "V0", "a", "mass", "l_lo", "l_hi", "out"},
-    "verify": {"count", "seed"},
+# Every CLI key, declared once: its type, the subcommands that take it and its
+# help text.  A tuple type is a set of choices, bool a --key/--no-key switch.
+# The same table builds the flags and converts config-file values; defaults
+# are RunConfig's.
+_KEYS = {
+    "figure": (str, ("figure",), f"dataset id, one of {', '.join(FIGURE_IDS)}"),
+    "swept": (str, ("sweep",), "axis: a | l | E (aliases width_a, separation_l, energy_E)"),
+    "lo": (float, ("sweep",), "lower end of the sweep range"),
+    "hi": (float, ("sweep",), "upper end of the sweep range"),
+    "points": (int, ("sweep",), "number of grid points"),
+    "E": (float, _SYSTEM, "total energy (units of the rest mass)"),
+    "V0": (float, _SYSTEM, "barrier height"),
+    "a": (float, _SYSTEM, "barrier width"),
+    "l": (float, ("point", "sweep"), "barrier separation"),
+    "mass": (float, _SYSTEM, "rest mass (default 1)"),
+    "include_nr": (bool, ("sweep",), "add the nonrelativistic phase-time column"),
+    "include_opaque_reference": (bool, ("sweep",), "add saturated reference constants (default on)"),
+    "format": (("csv", "plot-script"), ("sweep", "figure"),
+               "csv (default) or plot-script (CSV plus gnuplot file)"),
+    "l_lo": (float, ("resonances",), "lower end of the separation range"),
+    "l_hi": (float, ("resonances",), "upper end of the separation range"),
+    "count": (int, ("verify",), "random grid size (default 200)"),
+    "seed": (int, ("verify",), "random seed (default 1)"),
+    "out": (str, _OUTPUT, "output path (default: stdout)"),
 }
 
-_SWEPT_ALIASES = {
-    "a": "width_a",
-    "width_a": "width_a",
-    "l": "separation_l",
-    "separation_l": "separation_l",
-    "E": "energy_E",
-    "energy_E": "energy_E",
+# Keys without a default that each subcommand needs.
+_REQUIRED = {
+    "point": {"E", "V0", "a", "l"},
+    "sweep": {"swept", "lo", "hi", "points", "E", "V0", "a", "l"},
+    "figure": {"figure"},
+    "resonances": {"E", "V0", "a", "l_lo", "l_hi"},
+    "verify": set(),
 }
 
-_DEFAULTS = {
-    "mass": 1.0,
-    "include_nr": False,
-    "include_opaque_reference": True,
-    "format": "csv",
-    "count": 200,
-    "seed": 1,
-}
+# Each sweep axis and the key it varies: --swept takes either name, and a
+# sweep needs no value for the key of its own axis.
+_AXIS_KEY = {"width_a": "a", "separation_l": "l", "energy_E": "E"}
+_SWEPT_ALIASES = {name: axis for axis, key in _AXIS_KEY.items() for name in (axis, key)}
+
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 @functools.cache
@@ -127,54 +144,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tunneling times of a Dirac particle through two rectangular barriers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    commands = {name: sub.add_parser(name, help=run.__doc__) for name, run in _DISPATCH.items()}
+    for key, (kind, takers, text) in _KEYS.items():
+        flag = f"--{key.replace('_', '-')}"
+        if key == "figure":
+            flag, spec = "figure", {"nargs": "?", "metavar": "ID"}
+        elif kind is bool:
+            spec = {"action": argparse.BooleanOptionalAction, "default": None}
+        elif isinstance(kind, tuple):
+            spec = {"choices": kind}
+        else:
+            spec = {"type": kind}
+        for name in takers:
+            commands[name].add_argument(flag, help=text, **spec)
+    for p in commands.values():
         p.add_argument("--config", metavar="FILE", help="key=value config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-
-    def add_system(p, with_l=True):
-        p.add_argument("--E", type=float, help="total energy (units of the rest mass)")
-        p.add_argument("--V0", type=float, help="barrier height")
-        p.add_argument("--a", type=float, help="barrier width")
-        if with_l:
-            p.add_argument("--l", type=float, help="barrier separation")
-        p.add_argument("--mass", type=float, help="rest mass (default 1)")
-
-    p = sub.add_parser("point", help="time scales at a single parameter point")
-    add_system(p)
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="sweep one parameter over a uniform grid")
-    p.add_argument("--swept", help="axis: a | l | E (aliases width_a, separation_l, energy_E)")
-    p.add_argument("--lo", type=float, help="lower end of the sweep range")
-    p.add_argument("--hi", type=float, help="upper end of the sweep range")
-    p.add_argument("--points", type=int, help="number of grid points")
-    add_system(p)
-    p.add_argument("--include-nr", action=argparse.BooleanOptionalAction, default=None,
-                   help="add the nonrelativistic phase-time column")
-    p.add_argument("--include-opaque-reference", action=argparse.BooleanOptionalAction,
-                   default=None, help="add saturated reference constants (default on)")
-    p.add_argument("--format", choices=("csv", "plot-script"),
-                   help="csv (default) or plot-script (CSV plus gnuplot file)")
-    add_common(p)
-
-    p = sub.add_parser("figure", help="evaluate a canonical dataset")
-    p.add_argument("figure", nargs="?", metavar="ID",
-                   help=f"dataset id, one of {', '.join(FIGURE_IDS)}")
-    p.add_argument("--format", choices=("csv", "plot-script"))
-    add_common(p)
-
-    p = sub.add_parser("resonances", help="locate |R| minima in the separation l")
-    add_system(p, with_l=False)
-    p.add_argument("--l-lo", type=float, help="lower end of the separation range")
-    p.add_argument("--l-hi", type=float, help="upper end of the separation range")
-    add_common(p)
-
-    p = sub.add_parser("verify", help="cross-check closed forms against the oracle")
-    p.add_argument("--count", type=int, help="random grid size (default 200)")
-    p.add_argument("--seed", type=int, help="random seed (default 1)")
-    p.add_argument("--config", metavar="FILE", help="key=value config file")
-
     return parser
 
 
@@ -193,74 +177,51 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 
 def _convert(parser, key: str, raw: str):
+    """A config-file value converted and checked as its flag would be."""
+    kind = _KEYS[key][0]
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
-    except ValueError:
+        if kind is bool:
+            return _BOOL_WORDS[raw.lower()]
+        if isinstance(kind, tuple):
+            if raw not in kind:
+                raise ValueError(raw)
+            return raw
+        return kind(raw)
+    except (KeyError, ValueError):
         parser.error(f"invalid value for config key {key!r}: {raw!r}")
-    return raw
 
 
 def parse_config(argv=None) -> RunConfig:
     """Parse flags and the optional config file into a RunConfig.
 
     File keys carry the same names as the long flags (with underscores,
-    e.g. ``l_lo``); command-line flags override file values.  Usage
-    problems (unknown keys, missing required keys, malformed values) exit
-    with code 2 through the standard argparse error path.
+    e.g. ``l_lo``) and pass the same type and choice checks; command-line
+    flags override file values.  Usage problems (unknown keys, missing
+    required keys, malformed values) exit with code 2 through the standard
+    argparse error path.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
     command = ns.command
-    keys = _COMMAND_KEYS[command]
+    keys = [key for key, (_, takers, _) in _KEYS.items() if command in takers]
 
     merged: dict[str, object] = {}
-    if getattr(ns, "config", None):
+    if ns.config:
         for key, raw in _read_config_file(ns.config).items():
             if key not in keys:
                 parser.error(f"unknown config key {key!r} for command {command!r}")
             merged[key] = _convert(parser, key, raw)
     for key in keys:
-        cli_value = getattr(ns, key, None)
-        if cli_value is not None:
-            merged[key] = cli_value
-    for key, default in _DEFAULTS.items():
-        if key in keys:
-            merged.setdefault(key, default)
+        if getattr(ns, key) is not None:
+            merged[key] = getattr(ns, key)
 
-    if command == "sweep":
-        swept_raw = merged.get("swept")
-        if swept_raw is not None:
-            canonical = _SWEPT_ALIASES.get(str(swept_raw))
-            if canonical is None:
-                parser.error(f"invalid swept axis {swept_raw!r}; "
-                             f"choose from {sorted(set(_SWEPT_ALIASES))}")
-            merged["swept"] = canonical
-        required = {"swept", "lo", "hi", "points", "V0"}
-        axis_param = {"width_a": "a", "separation_l": "l", "energy_E": "E"}.get(
-            merged.get("swept"), None
-        )
-        for name in ("E", "a", "l"):
-            if name != axis_param:
-                required.add(name)
-    elif command == "point":
-        required = {"E", "V0", "a", "l"}
-    elif command == "figure":
-        required = {"figure"}
-    elif command == "resonances":
-        required = {"E", "V0", "a", "l_lo", "l_hi"}
-    else:
-        required = set()
-
+    swept_raw = merged.get("swept")
+    if swept_raw is not None:
+        if swept_raw not in _SWEPT_ALIASES:
+            parser.error(f"invalid swept axis {swept_raw!r}; "
+                         f"choose from {sorted(set(_SWEPT_ALIASES))}")
+        merged["swept"] = _SWEPT_ALIASES[swept_raw]
+    required = _REQUIRED[command] - {_AXIS_KEY.get(merged.get("swept"))}
     missing = sorted(key for key in required if merged.get(key) is None)
     if missing:
         parser.error(f"missing required key(s) for {command}: {', '.join(missing)}")
@@ -271,10 +232,12 @@ def parse_config(argv=None) -> RunConfig:
             parser.error(f"unknown dataset id {merged['figure']!r}; "
                          f"choose from {', '.join(FIGURE_IDS)}")
         merged["figure"] = figure_id
-    if merged.get("format") == "plot-script" and not merged.get("out"):
+    cfg = RunConfig(command=command, **merged)
+    if cfg.format == "plot-script" and not cfg.out:
         parser.error("--format plot-script requires --out (the CSV path)")
-
-    return RunConfig(command=command, **merged)
+    if cfg.count < 1:
+        parser.error(f"count must be at least 1, got {cfg.count}")
+    return cfg
 
 
 def _render_table(names: list[str], table, constants=()) -> str:
@@ -333,15 +296,13 @@ _XLABELS = {
     "energy_E": "energy E",
 }
 _CURVE_COLUMNS = (
-    ("tau_p", "phase time"),
-    ("tau_d", "dwell time"),
-    ("tau_p_nr", "NR phase time"),
-    ("t_free", "free transit"),
-    ("t_light", "light transit"),
-)
-_DASHED_COLUMNS = (
-    ("tau_p_opaque", "saturated phase time"),
-    ("tau_d_opaque", "saturated dwell time"),
+    ("tau_p", "phase time", "linewidth 2"),
+    ("tau_d", "dwell time", "linewidth 2"),
+    ("tau_p_nr", "NR phase time", "linewidth 2"),
+    ("t_free", "free transit", "linewidth 2"),
+    ("t_light", "light transit", "linewidth 2"),
+    ("tau_p_opaque", "saturated phase time", "dashtype 2"),
+    ("tau_d_opaque", "saturated dwell time", "dashtype 2"),
 )
 
 
@@ -365,19 +326,11 @@ def emit_plot_script(csv_path, figure_id=None, script_path=None, xlabel=None) ->
     if script_path is None:
         script_path = str(Path(csv_path).with_suffix(".gp"))
 
-    terms = []
-    for name, title in _CURVE_COLUMNS:
-        if name in header:
-            terms.append(
-                f'csv using (column("swept")):(column("{name}")) '
-                f'with lines linewidth 2 title "{title}"'
-            )
-    for name, title in _DASHED_COLUMNS:
-        if name in header:
-            terms.append(
-                f'csv using (column("swept")):(column("{name}")) '
-                f'with lines dashtype 2 title "{title}"'
-            )
+    terms = [
+        f'csv using (column("swept")):(column("{name}")) with lines {style} title "{title}"'
+        for name, title, style in _CURVE_COLUMNS
+        if name in header
+    ]
     plot_body = ", \\\n     ".join(terms)
     tag = figure_id if figure_id is not None else "sweep"
     script = (
@@ -404,6 +357,7 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _cmd_point(cfg: RunConfig) -> int:
+    """time scales at a single parameter point"""
     system = BarrierSystem(V0=cfg.V0, a=cfg.a, l=cfg.l, mass=cfg.mass)
     r = time_report(cfg.E, system)
     _write_text(_render_table(["tau_p", "tau_d", "tau_i", "t_free", "t_light"],
@@ -425,6 +379,7 @@ def _deliver_dataset(dataset: SweepDataset, cfg: RunConfig, xlabel: str) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
+    """sweep one parameter over a uniform grid"""
     a0 = cfg.a if cfg.a is not None else max(cfg.lo, 0.0)
     l0 = cfg.l if cfg.l is not None else max(cfg.lo, 0.0)
     E0 = cfg.E if cfg.E is not None else cfg.lo
@@ -443,12 +398,14 @@ def _cmd_sweep(cfg: RunConfig) -> int:
 
 
 def _cmd_figure(cfg: RunConfig) -> int:
+    """evaluate a canonical dataset"""
     dataset = figure_datasets(cfg.figure)
     xlabel = _XLABELS[dataset.spec.swept]
     return _deliver_dataset(dataset, cfg, xlabel=xlabel)
 
 
 def _cmd_resonances(cfg: RunConfig) -> int:
+    """locate |R| minima in the separation l"""
     system = BarrierSystem(V0=cfg.V0, a=cfg.a, l=max(cfg.l_lo, 0.0), mass=cfg.mass)
     hits = find_resonances(system, cfg.E, (cfg.l_lo, cfg.l_hi))
     _write_text(_render_table(["l", "absR", "tau_p", "tau_d"], hits), cfg.out)
@@ -456,6 +413,7 @@ def _cmd_resonances(cfg: RunConfig) -> int:
 
 
 def _cmd_verify(cfg: RunConfig) -> int:
+    """cross-check closed forms against the oracle"""
     grid = random_evanescent_grid(cfg.count, seed=cfg.seed)
     E, V0, a, l = grid["E"], grid["V0"], grid["a"], grid["l"]
     failures = []
@@ -511,17 +469,7 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
-    except OSError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
         return _DISPATCH[cfg.command](cfg)
-    except RegimeError as exc:
-        print(exc, file=sys.stderr)
-        return 2
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3

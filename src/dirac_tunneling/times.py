@@ -45,7 +45,7 @@ import numpy as np
 
 from .amplitudes import _ClosedForm, _full_shape, _prepare
 from .kinematics import BarrierSystem, kinematic_point
-from .numerics import continue_branch
+from .numerics import phase_derivative
 
 __all__ = [
     "AppendixTerms",
@@ -271,7 +271,7 @@ def opaque_limit_times(E: float, system: BarrierSystem) -> TimeReport:
     return TimeReport.from_split(
         tau_p=tau_d + tau_i,
         tau_i=tau_i,
-        t_free=system.span * E / kp.k,
+        t_free=free_transit_time(E, system),
         t_light=system.span,
     )
 
@@ -325,7 +325,10 @@ def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
 
 
 def _bulk_nr_phase_time(E_kin, V0, a, l, mass=1.0) -> np.ndarray:
-    """Vectorized NR phase time; the stencil is a new leading axis of the un-broadcast E_kin."""
+    """Vectorized NR phase time: `phase_derivative` of phi_t in E_kin, step 1e-6 E_kin.
+
+    The stencil is a new leading axis of the un-broadcast E_kin.
+    """
     E_kin, V0, a, l = (np.asarray(x, dtype=float) for x in (E_kin, V0, a, l))
     E_kin = E_kin[(np.newaxis,) * (max(V0.ndim, a.ndim, l.ndim) - E_kin.ndim)]
     h = 1e-6 * E_kin
@@ -338,11 +341,7 @@ def _bulk_nr_phase_time(E_kin, V0, a, l, mass=1.0) -> np.ndarray:
         e, v, w, s = (float(np.broadcast_to(x, ok.shape).flat[i or 0]) for x in (E_kin, V0, a, l))
         where = "" if i is None else f"grid index {i}: "
         raise _NRWindowError(f"{where}E_kin={e!r}, V0={v!r}, a={w!r}, l={s!r}", i)
-    stencil = np.stack([E_kin - h, E_kin - 0.5 * h, E_kin + 0.5 * h, E_kin + h])
-    phases = continue_branch(_nr_record(stencil, V0, a, l, mass).phi_t)
-    coarse = (phases[3] - phases[0]) / (2.0 * h)
-    fine = (phases[2] - phases[1]) / h
-    return ((4.0 * fine - coarse) / 3.0).astype(float)
+    return phase_derivative(lambda x: _nr_record(x, V0, a, l, mass).phi_t, E_kin, h).astype(float)
 
 
 def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:

@@ -118,6 +118,18 @@ def test_parse_config_rejects_bad_value(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("line, key", [("format = bogus", "format"), ("include_nr = maybe", "include_nr")])
+def test_config_values_pass_the_flag_checks(line, key, tmp_path, capsys):
+    # A file value outside the flag's choices is a usage error naming the key.
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(line + "\n")
+    command = ["figure", "2A"] if key == "format" else ["sweep"]
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--config", str(cfg_file)])
+    assert exc.value.code == 2
+    assert f"invalid value for config key {key!r}" in capsys.readouterr().err
+
+
 def test_parse_config_rejects_bad_syntax(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("E 1.8\n")
@@ -310,3 +322,13 @@ def test_verify_rejects_junk_argument():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--count", "eight"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_rejects_count_below_one(count, tmp_path, capsys):
+    for argv in (["verify", "--count", count], ["verify", "--config", str(tmp_path / "v.cfg")]):
+        (tmp_path / "v.cfg").write_text(f"count = {count}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"count must be at least 1, got {count}" in capsys.readouterr().err

@@ -73,12 +73,13 @@ def test_transit_references():
 
 
 def test_free_transit_time_equals_time_report_t_free():
-    # Both divide by the extended-precision k rounded to double.
+    # All three divide by the extended-precision k rounded to double.
     g = random_evanescent_grid(3000, seed=7)
     differ = [
         i for i, (E, V0, a, l) in enumerate(zip(*(g[key].tolist() for key in ("E", "V0", "a", "l"))))
-        if free_transit_time(E, BarrierSystem(V0=V0, a=a, l=l))
-        != time_report(E, BarrierSystem(V0=V0, a=a, l=l)).t_free
+        if len({free_transit_time(E, BarrierSystem(V0=V0, a=a, l=l)),
+                time_report(E, BarrierSystem(V0=V0, a=a, l=l)).t_free,
+                opaque_limit_times(E, BarrierSystem(V0=V0, a=a, l=l)).t_free}) != 1
     ]
     assert differ == []
 

@@ -1,12 +1,17 @@
-"""Repository tooling: the demos run, and the oracle stays independent of the closed forms."""
+"""Repository tooling: the demos run, the oracle stays independent of the closed forms,
+and each CLI key is declared once."""
 
+import argparse
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from dirac_tunneling import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -61,3 +66,16 @@ def test_one_phase_formula_and_one_branch_rule():
     assert _calls("arctan2") == ["amplitudes.py"]
     assert _calls("unwrap") == []
     assert _calls("rint") == ["numerics.py"]
+
+
+def test_each_cli_key_is_declared_once():
+    # The key table is the only declaration: RunConfig holds exactly its keys, and
+    # every subparser takes exactly the keys the table gives it, plus --config.
+    fields = {field.name for field in dataclasses.fields(cli.RunConfig)} - {"command"}
+    assert set(cli._KEYS) == fields
+    (subparsers,) = (action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(cli._REQUIRED)
+    for command, parser in subparsers.choices.items():
+        dests = {action.dest for action in parser._actions} - {"help"}
+        assert dests == {key for key, (_, takers, _) in cli._KEYS.items() if command in takers} | {"config"}
