@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import _ClosedForm, _full_shape, _prepare
+from .amplitudes import _bulk, _ClosedForm, _prepare
 from .kinematics import BarrierSystem, kinematic_point
 from .numerics import phase_derivative
 
@@ -187,12 +187,8 @@ def appendix_terms(E: float, system: BarrierSystem) -> AppendixTerms:
     )
 
 
-def _tau_i_dual(rec: _ClosedForm):
-    """Both tau_i forms with the built-in agreement check; returns the Im R form.
-
-    On failure the message names the worst point: its flat index in the
-    full broadcast shape (for array input) and its (E, V0, a, l).
-    """
+def _tau_i_forms(rec: _ClosedForm):
+    """tau_i from Im R and from the h2/h3 form, and the unit m/k^2 of their agreement check."""
     mass, k, alpha = rec.mass, rec.k, rec.alpha
     k_d = np.float64(k)
     unit = mass / (k_d * k_d)
@@ -200,6 +196,15 @@ def _tau_i_dual(rec: _ClosedForm):
     h2, h3 = _h2_h3(alpha, rec)
     al2 = alpha * alpha
     from_h = np.float64((mass / (k * k)) * ((1.0 + al2) / (4.0 * al2 * alpha)) * h2 / h3)
+    return from_r, from_h, unit
+
+
+def _check_tau_i(E, V0, a, l, from_r, from_h, unit):
+    """The agreement check of the two tau_i forms at (E, V0, a, l); returns the Im R form.
+
+    On failure the message names the worst point: its flat index in the
+    full broadcast shape (for array input) and its (E, V0, a, l).
+    """
     deviation = abs(from_r - from_h)
     # deviation > tol * max(|from_r|, |from_h|, unit), bit for bit, with no ufunc call on a scalar
     bad = ((deviation > _CONSISTENCY_TOL * abs(from_r))
@@ -207,14 +212,18 @@ def _tau_i_dual(rec: _ClosedForm):
     if np.count_nonzero(bad):
         ratio = deviation / np.maximum(np.maximum(abs(from_r), abs(from_h)), unit)
         i = int(np.argmax(ratio))
-        e, v, w, s = (float(np.broadcast_to(x, ratio.shape).flat[i])
-                      for x in (rec.E, rec.V0, rec.a, rec.l))
+        e, v, w, s = (float(np.broadcast_to(x, ratio.shape).flat[i]) for x in (E, V0, a, l))
         where = "" if ratio.ndim == 0 else f" at grid index {i}"
         raise ConsistencyError(
             f"self-interference delay dual forms disagree (relative {ratio.flat[i]:.3e})"
             f"{where}: E={e!r}, V0={v!r}, a={w!r}, l={s!r}"
         )
     return from_r
+
+
+def _tau_i_dual(rec: _ClosedForm):
+    """Both tau_i forms with the built-in agreement check; returns the Im R form."""
+    return _check_tau_i(rec.E, rec.V0, rec.a, rec.l, *_tau_i_forms(rec))
 
 
 def self_interference_delay(E: float, system: BarrierSystem) -> float:
@@ -327,7 +336,9 @@ def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
 def _bulk_nr_phase_time(E_kin, V0, a, l, mass=1.0) -> np.ndarray:
     """Vectorized NR phase time: `phase_derivative` of phi_t in E_kin, step 1e-6 E_kin.
 
-    The stencil is a new leading axis of the un-broadcast E_kin.
+    The stencil is a new leading axis of the un-broadcast E_kin.  Only the
+    phase evaluations go through the block pool; the derivative itself runs
+    on the calling thread.
     """
     E_kin, V0, a, l = (np.asarray(x, dtype=float) for x in (E_kin, V0, a, l))
     E_kin = E_kin[(np.newaxis,) * (max(V0.ndim, a.ndim, l.ndim) - E_kin.ndim)]
@@ -341,7 +352,15 @@ def _bulk_nr_phase_time(E_kin, V0, a, l, mass=1.0) -> np.ndarray:
         e, v, w, s = (float(np.broadcast_to(x, ok.shape).flat[i or 0]) for x in (E_kin, V0, a, l))
         where = "" if i is None else f"grid index {i}: "
         raise _NRWindowError(f"{where}E_kin={e!r}, V0={v!r}, a={w!r}, l={s!r}", i)
-    return phase_derivative(lambda x: _nr_record(x, V0, a, l, mass).phi_t, E_kin, h).astype(float)
+
+    def phi_t(x):
+        return _bulk(_nr_phase, x, V0, a, l, mass, _nr_kinematics)["phi_t"]
+
+    return phase_derivative(phi_t, E_kin, h).astype(float)
+
+
+def _nr_phase(rec: _ClosedForm) -> dict:
+    return {"phi_t": rec.phi_t}
 
 
 def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
@@ -353,15 +372,30 @@ def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     are evaluated on the shape of the inputs they depend on.
     """
     E, V0, a, l = (np.asarray(x, dtype=float) for x in (E, V0, a, l))
-    rec = _prepare(E, V0, a, l, mass)
-    tau_p = np.asarray(_tau_p(rec), dtype=float)
-    tau_i = np.asarray(_tau_i_dual(rec), dtype=float)
+    out = _bulk(_time_fields, E, V0, a, l, mass)
+    # Checked once on the whole grid, so a failure names the worst point of all blocks.
+    tau_p = out["tau_p"]
+    tau_i = _check_tau_i(E, V0, a, l, out["tau_i"], out["from_h"], out["unit"])
     return {
         "tau_p": tau_p,
         "tau_i": tau_i,
         "tau_d": tau_p - tau_i,
-        "t_free": (rec.span * E / rec.k).astype(float),
-        "t_light": _full_shape(rec.span, tau_p),
+        "t_free": out["t_free"],
+        "t_light": out["t_light"],
+        "magT2": out["magT2"],
+        "phi_t": out["phi_t"],
+    }
+
+
+def _time_fields(rec: _ClosedForm) -> dict:
+    from_r, from_h, unit = _tau_i_forms(rec)
+    return {
+        "tau_p": np.asarray(_tau_p(rec), dtype=float),
+        "tau_i": np.asarray(from_r, dtype=float),
+        "from_h": from_h,
+        "unit": unit,
+        "t_free": (rec.span * rec.E / rec.k).astype(float),
+        "t_light": rec.span,
         "magT2": rec.magT2.astype(float),
         "phi_t": rec.phi_t.astype(float),
     }

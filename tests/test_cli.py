@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -332,3 +335,26 @@ def test_verify_rejects_count_below_one(count, tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
         assert f"count must be at least 1, got {count}" in capsys.readouterr().err
+
+
+def _run_module(*args):
+    """``python -m dirac_tunneling ARGS`` in a subprocess, importing this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "dirac_tunneling", *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    run = _run_module("figure", "2A")
+    assert run.returncode == 0, run.stderr
+    assert main(["figure", "2A"]) == 0
+    assert run.stdout == capsys.readouterr().out
+    assert run.stdout.startswith("swept,tau_p,")
+
+    usage = _run_module("figure")
+    assert usage.returncode == 2
+    assert usage.stdout == ""
+    assert "usage: dirac-tunneling" in usage.stderr

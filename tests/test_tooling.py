@@ -79,3 +79,17 @@ def test_each_cli_key_is_declared_once():
     for command, parser in subparsers.choices.items():
         dests = {action.dest for action in parser._actions} - {"help"}
         assert dests == {key for key, (_, takers, _) in cli._KEYS.items() if command in takers} | {"config"}
+
+
+def test_no_environment_knob_and_one_thread_pool():
+    # Nothing reads the environment, so no variable changes how the package
+    # computes; the block pool of `amplitudes` is the only thread pool.
+    pools = []
+    for path in sorted((ROOT / "src" / "dirac_tunneling").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                    or getattr(node, "name", None))
+            assert name not in ("environ", "getenv", "environb", "getenvb"), (path.name, ast.dump(node))
+            if name == "ThreadPoolExecutor":
+                pools.append(path.name)
+    assert pools == ["amplitudes.py"]
