@@ -2,8 +2,8 @@
 
 Nothing here reuses the closed-form algebra: the transfer matrix solves
 the interface-matching problem numerically, the phase time is compared
-against a finite-difference derivative of the numerically obtained
-phase, the dwell time against adaptive quadrature of the probability
+against the energy derivative of the numerically obtained phase, solved
+exactly together with the linear system, the dwell time against adaptive quadrature of the probability
 density, and the probability current is sampled across all five regions.
 """
 

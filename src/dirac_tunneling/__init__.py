@@ -3,9 +3,9 @@
 Closed-form scattering amplitudes and time scales (phase, dwell and
 self-interference times) for a relativistic particle meeting two
 identical electrostatic barriers, together with independent numerical
-oracles (linear-solve amplitudes, finite-difference phase time,
-quadrature dwell time), sweep/resonance drivers and canonical datasets.
-Natural units hbar = c = 1 throughout.
+oracles (linear-solve amplitudes, phase time from the solve's exact
+energy derivative, quadrature dwell time), sweep/resonance drivers and
+canonical datasets.  Natural units hbar = c = 1 throughout.
 """
 
 from .kinematics import (

@@ -427,9 +427,9 @@ def _cmd_verify(cfg: RunConfig) -> int:
     bulk = bulk_amplitudes(E, V0, a, l)
     check("unitarity |T|^2+|R|^2-1", float(np.max(np.abs(bulk["magT2"] + bulk["magR2"] - 1.0))), 1e-12)
 
-    # The oracle side is one stacked solve for the coefficients and one for all the
-    # phase-time stencils; the closed times are one bulk call, the closed
-    # coefficients and the dwell quadratures are evaluated point by point.
+    # The oracle side is one stacked solve for the coefficients and one for the
+    # phase times with their E-derivatives; the closed times are one bulk call, the
+    # closed coefficients and the dwell quadratures are evaluated point by point.
     points = list(zip(E.tolist(), (BarrierSystem(V0=v, a=w, l=s)
                                    for v, w, s in zip(V0.tolist(), a.tolist(), l.tolist()))))
     closed = [region_coefficients(e, s) for e, s in points]
@@ -442,7 +442,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
     times = _bulk_times(E, V0, a, l)
     numeric = _phase_time_stack(E, V0, a, l)
-    check("phase time closed vs finite difference",
+    check("phase time closed vs solve derivative",
           float(np.max(np.abs(times["tau_p"] - numeric) / np.abs(numeric))), 1e-6)
 
     n_dwell = min(cfg.count, 25)

@@ -4,12 +4,12 @@ Nothing in this module uses the closed amplitude or time formulas.  The
 stationary solution is obtained by solving the eight spinor-continuity
 equations (two components at each of the four interfaces) as a dense
 linear system, for any broadcast stack of points in one LAPACK call; the
-phase time comes from finite differences of that solution's transmission
-phase, its four stencil energies solved as one stack; the dwell time from
-adaptive quadrature of the probability density, evaluated on arrays and
-refined level by level.  The one-point functions are views of these array
-paths.  Tests compare the closed forms against these routines, so the two
-layers must share as little code as possible.
+phase time from the exact E-derivative of that solution, x' = M^-1 (b' -
+M' x) with M' and b' differentiated entry by entry and solved in the same
+call; the dwell time from adaptive quadrature of the probability density,
+evaluated on arrays and refined level by level.  The one-point functions
+are views of these array paths.  Tests compare the closed forms against
+these routines, so the two layers must share as little code as possible.
 
 The linear system is assembled in rescaled unknowns: every evanescent
 coefficient is multiplied by the exponential factor that makes it O(1)
@@ -29,9 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from .amplitudes import RegionCoefficients
-from .kinematics import (BarrierSystem, KinematicPoint, RegimeError, _validate,
-                         kinematic_point, regime_error)
-from .numerics import adaptive_simpson, phase_derivative
+from .kinematics import BarrierSystem, KinematicPoint, _validate, kinematic_point
+from .numerics import adaptive_simpson
 
 __all__ = [
     "FieldSample",
@@ -74,45 +73,81 @@ class FieldSample:
     J: float
 
 
-def _tm_rescaled(E, V0, a, l, mass: float = 1.0):
-    """(x, q) for broadcast valid points: one stacked solve of their systems.
+# Every entry of the rescaled system is a constant times a factor alpha^s e^{-2qa p + ikz}
+# with s = 0 or 1 and z = a za + l zl.  The phase factors, by name, with (p, za, zl):
+_PHASES = {"1": (0, 0, 0), "e^-2qa": (1, 0, 0), "e^ika": (0, 1, 0), "e^-ika": (0, -1, 0),
+           "e^ik(a+l)": (0, 1, 1), "e^-ik(a+l)": (0, -1, -1), "e^ik(2a+l)": (0, 2, 1)}
+_P, _ZA, _ZL = np.array(list(_PHASES.values()), dtype=float).T
+_FACTORS = (*_PHASES, *("al" if name == "1" else "al " + name for name in _PHASES))
+# Row i of [M | b], two spinor components at each interface, as (column, constant,
+# factor) triples; column 8 is the right-hand side b.  [M' | b'] is the same table with
+# each factor replaced by its E-derivative.
+_ROWS = (
+    ((0, -1, "1"), (1, 1, "1"), (2, 1, "e^-2qa"), (8, 1, "1")),
+    ((0, 1, "al"), (1, 1j, "1"), (2, -1j, "e^-2qa"), (8, 1, "al")),
+    ((1, 1, "1"), (2, 1, "1"), (3, -1, "e^ika"), (4, -1, "e^-ika")),
+    ((1, 1j, "1"), (2, -1j, "1"), (3, -1, "al e^ika"), (4, 1, "al e^-ika")),
+    ((3, 1, "e^ik(a+l)"), (4, 1, "e^-ik(a+l)"), (5, -1, "1"), (6, -1, "e^-2qa")),
+    ((3, 1, "al e^ik(a+l)"), (4, -1, "al e^-ik(a+l)"), (5, -1j, "1"), (6, 1j, "e^-2qa")),
+    ((5, 1, "1"), (6, 1, "1"), (7, -1, "e^ik(2a+l)")),
+    ((5, 1j, "1"), (6, -1j, "1"), (7, -1, "al e^ik(2a+l)")),
+)
+# Empty entries have constant 0 on the factor "1".
+_CONST = np.zeros((8, 9), dtype=complex)
+_INDEX = np.zeros((8, 9), dtype=np.intp)
+for _i, _row in enumerate(_ROWS):
+    for _j, _c, _f in _row:
+        _CONST[_i, _j], _INDEX[_i, _j] = _c, _FACTORS.index(_f)
 
-    The eight continuity equations, two spinor components at each
-    interface, in the unknowns R, A, B e^{2qa}, C e^{qa}, D e^{qa},
-    F e^{-ql}, G e^{q(2a+l)} e^{2qa}, T e^{2qa}, which ``x`` holds in that
-    order along its leading axis.  The matrix entries are bounded by 1 at
-    any qa.
+
+def _tm_system(E, V0, a, l, mass, derivative):
+    """([M | b], [M' | b'] or None, q) of broadcast valid points, shaped ``(..., 8, 9)``.
+
+    A factor alpha^s e^{-2qa p + ikz} has the logarithmic E-derivative
+    s alpha'/alpha - 2a q' p + i k' z, with k' = E/k, q' = -(E - V0)/q and
+    alpha'/alpha = k'/k - q'/q + 1/(E - V0 + m) - 1/(E + m).
     """
     k = np.sqrt((E - mass) * (E + mass))
     diff = E - V0
     q = np.sqrt((mass - diff) * (mass + diff))
     al = (k / q) * (diff + mass) / (E + mass)
-    e2 = np.exp(-2.0 * q * a)
+    outer = np.multiply.outer
     ik = 1.0j * k
-    eika, eiks, eikw = np.exp(ik * a), np.exp(ik * (a + l)), np.exp(ik * (2.0 * a + l))
-    emika, emiks = eika.conjugate(), eiks.conjugate()
-    # Row i of the system: its (column, entry) pairs.
-    rows = (
-        ((0, -1.0), (1, 1.0), (2, e2)),
-        ((0, al), (1, 1.0j), (2, -1.0j * e2)),
-        ((1, 1.0), (2, 1.0), (3, -eika), (4, -emika)),
-        ((1, 1.0j), (2, -1.0j), (3, -al * eika), (4, al * emika)),
-        ((3, eiks), (4, emiks), (5, -1.0), (6, -e2)),
-        ((3, al * eiks), (4, -al * emiks), (5, -1.0j), (6, 1.0j * e2)),
-        ((5, 1.0), (6, 1.0), (7, -eikw)),
-        ((5, 1.0j), (6, -1.0j), (7, -al * eikw)),
-    )
-    # Matrix axes lead while filling, so one point is filled scalar by scalar.
-    shape = np.broadcast(e2, eikw).shape
-    m = np.zeros((8, 8) + shape, dtype=complex)
-    for i, row in enumerate(rows):
-        for j, entry in row:
-            m[i, j] = entry
-    rhs = np.zeros((8, 1) + shape, dtype=complex)
-    rhs[0, 0], rhs[1, 0] = 1.0, al
-    batch = tuple(range(2, m.ndim))
-    x = np.linalg.solve(m.transpose(batch + (0, 1)), rhs.transpose(batch + (0, 1)))
-    return x[..., 0].transpose((len(shape),) + tuple(range(len(shape)))), q
+    phase = np.exp(outer(-2.0 * q * a, _P) + outer(ik * a, _ZA) + outer(ik * l, _ZL))
+    factors = np.concatenate((phase, al[..., None] * phase), axis=-1)
+    if not derivative:
+        return _CONST * factors[..., _INDEX], None, q
+    dk, dq = E / k, -diff / q
+    dlog_al = dk / k - dq / q + 1.0 / (diff + mass) - 1.0 / (E + mass)
+    ikp = 1.0j * dk
+    dlog = outer(-2.0 * a * dq, _P) + outer(ikp * a, _ZA) + outer(ikp * l, _ZL)
+    slopes = factors * np.concatenate((dlog, dlog + dlog_al[..., None]), axis=-1)
+    return _CONST * factors[..., _INDEX], _CONST * slopes[..., _INDEX], q
+
+
+def _tm_rescaled(E, V0, a, l, mass: float = 1.0, derivative: bool = False):
+    """(x, x' or None, q) for broadcast valid points: one stacked solve of their systems.
+
+    The eight continuity equations M x = b, two spinor components at each
+    interface, in the unknowns R, A, B e^{2qa}, C e^{qa}, D e^{qa},
+    F e^{-ql}, G e^{q(2a+l)} e^{2qa}, T e^{2qa}, which ``x`` holds in that
+    order along its leading axis.  The matrix entries are bounded by 1 at
+    any qa.  With ``derivative``, x' = dx/dE = M^-1 (b' - M' x) comes from
+    the same solve: its right-hand side is [b | M' | b'].
+    """
+    system, slope, q = _tm_system(E, V0, a, l, mass, derivative)
+    rhs = system[..., 8:]
+    if slope is not None:
+        rhs = np.concatenate((rhs, slope), axis=-1)
+    sol = np.linalg.solve(system[..., :8], rhs)
+    n = sol.ndim - 2
+    lead = (n,) + tuple(range(n))
+    x = sol[..., 0].transpose(lead)
+    if slope is None:
+        return x, None, q
+    # x' = M^-1 b' - (M^-1 M') x
+    dx = sol[..., 9] - np.matmul(sol[..., 1:9], sol[..., :1])[..., 0]
+    return x, dx.transpose(lead), q
 
 
 def _tm_stack(E, V0, a, l, mass: float = 1.0) -> RegionCoefficients:
@@ -121,7 +156,7 @@ def _tm_stack(E, V0, a, l, mass: float = 1.0) -> RegionCoefficients:
     Validates every point, solves them in one stack and undoes the scaling.
     """
     _validate(E, V0, a, l, mass)
-    x, q = _tm_rescaled(E, V0, a, l, mass)
+    x, _, q = _tm_rescaled(E, V0, a, l, mass)
     e2, e1 = np.exp(-2.0 * q * a), np.exp(-q * a)
     return RegionCoefficients(
         A=x[1], B=x[2] * e2, C=x[3] * e1, D=x[4] * e1, F=x[5] * np.exp(q * l),
@@ -167,35 +202,21 @@ def single_barrier_amplitudes(
 
 
 def _phase_time_stack(E, V0, a, l, mass: float = 1.0) -> np.ndarray:
-    """Finite-difference phase time for broadcast parameters.
+    """Phase time of broadcast valid points from the derivative of the linear solve.
 
-    Differentiates arg(T) + k(2a+l) of the linear solve with relative step
-    1e-6 in E, solving the four stencil energies of every point in one
-    stack; the stencil must stay inside the evanescent window.
+    tau_p = d/dE [arg T + k(2a+l)] = Im(x7'/x7) + (E/k)(2a+l), with x7 =
+    T e^{2qa} and x' solved exactly with x (`_tm_rescaled`): the scaling
+    is real and positive, so it leaves the phase alone.  No step size.
     """
-    h = 1e-6 * E
-    # The window is an interval in E, so valid ends make a valid stencil.
-    for edge in (E - h, E + h):
-        try:
-            _validate(edge, V0, a, l, mass)
-        except RegimeError as exc:
-            e = np.broadcast_to(edge, np.broadcast(edge, V0, a, l).shape).flat[exc.index or 0]
-            detail = f"derivative stencil endpoint E={e:g}"
-            raise regime_error(exc.regime, detail, exc.index) from None
-    span = 2.0 * a + l
-
-    def phase(x):
-        # arg T = arg T e^{2qa}: the scaling is real and positive.
-        return np.angle(_tm_rescaled(x, V0, a, l, mass)[0][7]) + np.sqrt(x * x - mass * mass) * span
-
-    return phase_derivative(phase, E, h, period=math.pi)
+    _validate(E, V0, a, l, mass)
+    x, dx, _ = _tm_rescaled(E, V0, a, l, mass, derivative=True)
+    return (dx[7] / x[7]).imag + E / np.sqrt((E - mass) * (E + mass)) * (2.0 * a + l)
 
 
 def numeric_phase_time(E: float, system: BarrierSystem) -> float:
-    """Phase time as a Richardson-extrapolated finite difference.
+    """Phase time from the exact E-derivative of the linear solve.
 
-    The one-point view of `_phase_time_stack`; the derivative stencil must
-    stay inside the evanescent window.
+    The one-point view of `_phase_time_stack`.
     """
     return float(_phase_time_stack(E, system.V0, system.a, system.l, system.mass))
 

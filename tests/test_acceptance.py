@@ -100,7 +100,7 @@ def test_criterion_03_phase_time_consistency(figure_data):
             numeric = numeric_phase_time(E, s)
             worst = max(worst, abs(ds.tau_p[i] - numeric) / abs(numeric))
     elapsed = time.perf_counter() - start
-    print(f"criterion 3: closed vs finite-difference worst {worst:.2e} "
+    print(f"criterion 3: closed vs solve-derivative worst {worst:.2e} "
           f"over 3000 canonical points in {elapsed:.2f} s")
     assert worst <= 1e-6
     assert elapsed < 10.0

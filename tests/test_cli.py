@@ -321,6 +321,12 @@ def test_verify_smoke(capsys):
     assert "unitarity" in out
 
 
+def test_verify_resolves_the_sharp_resonance_of_seed_1(capsys):
+    # grid index 752 is a resonance a finite-difference phase time misses by 4.7e-6
+    assert main(["verify", "--count", "2000"]) == 0
+    assert "phase time closed vs solve derivative" in capsys.readouterr().out
+
+
 def test_verify_rejects_junk_argument():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--count", "eight"])

@@ -25,6 +25,7 @@ from dirac_tunneling.kinematics import RegimeError
 from dirac_tunneling.oracle import (
     _dwell_integral_detail,
     _phase_time_stack,
+    _tm_rescaled,
     _tm_stack,
     default_flux_samples,
     random_evanescent_grid,
@@ -87,13 +88,33 @@ def test_numeric_phase_time_matches_closed(E, V0, a, l):
     assert abs(tn - tc) <= 1e-6 * abs(tc)
 
 
-def test_numeric_phase_time_guards_stencil():
-    # the finite-difference stencil must stay inside the evanescent window:
-    # V0 - (E - m) = 1e-7 is smaller than the step 1e-6 E, so E + h leaves it
+def test_numeric_phase_time_near_the_window_edge():
+    # V0 - (E - m) = 1e-7, so q a = 3e-4: a stencil of step 1e-6 E would leave the
+    # window here, while the solve's derivative needs no neighbouring energy.
     s = BarrierSystem(V0=0.8 + 1e-7, a=0.7, l=0.7)
-    with pytest.raises(RegimeError) as exc:
-        numeric_phase_time(1.8, s)
-    assert "stencil" in str(exc.value)
+    mpmath_tau_p = 3.386370630280501706  # 50 digits, as tests/test_accuracy.py evaluates it
+    assert abs(numeric_phase_time(1.8, s) - mpmath_tau_p) <= 1e-6 * mpmath_tau_p
+
+
+def test_numeric_phase_time_resolves_a_sharp_resonance():
+    # index 752 of random_evanescent_grid(2000, seed=1): |T|^2 = 0.70 on a resonance so
+    # narrow that a finite difference of step 1e-6 E misses tau_p by 4.7e-6
+    s = BarrierSystem(V0=0.5558902422230831, a=22.923006143950143, l=0.2787039453688473)
+    mpmath_tau_p = 51498.547739054957
+    assert abs(numeric_phase_time(1.5442936443585942, s) - mpmath_tau_p) <= 1e-10 * mpmath_tau_p
+
+
+@pytest.mark.parametrize(
+    "E, V0, a, l",
+    [(1.8, 1.5, 0.7, 0.7), (1.46, 2.19, 0.7, 0.7), (2.2, 1.9, 1.3, 2.4)],
+)
+def test_solve_derivative_matches_central_difference(E, V0, a, l):
+    # every unknown, so every row of M' and b' is checked, not only T's
+    x, dx, _ = _tm_rescaled(E, V0, a, l, derivative=True)
+    h = 1e-6 * E
+    central = (_tm_rescaled(E + h, V0, a, l)[0] - _tm_rescaled(E - h, V0, a, l)[0]) / (2.0 * h)
+    assert x.shape == dx.shape == (8,)
+    assert (np.abs(central - dx) <= 1e-7 * np.abs(dx)).all()
 
 
 def test_dwell_integral_free_limit():
@@ -168,12 +189,27 @@ def test_stacked_phase_time_equals_numeric_phase_time(random_grid_small):
         assert stacked[i] == numeric_phase_time(float(E[i]), s)
 
 
-def test_stacked_phase_time_guard_names_the_point():
+def test_stacked_phase_time_names_the_point_outside_the_window():
     E = np.array([1.8, 1.8])
-    V0 = np.array([1.5, 0.8 + 1e-7])
-    with pytest.raises(RegimeError, match="stencil endpoint E=1.8") as exc:
+    V0 = np.array([1.5, 0.8 - 1e-7])
+    with pytest.raises(RegimeError) as exc:
         _phase_time_stack(E, V0, 0.7, 0.7)
     assert exc.value.index == 1
+
+
+def test_stacked_phase_time_is_one_solve(random_grid_small, monkeypatch):
+    # one call on one system per point: a derivative stencil would stack more energies
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    g = random_grid_small
+    _phase_time_stack(*(g[key][:40] for key in ("E", "V0", "a", "l")))
+    assert calls == [(40, 8, 8)]
 
 
 def test_dwell_integral_opaque():
