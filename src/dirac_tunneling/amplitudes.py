@@ -27,10 +27,11 @@ Near a transmission resonance Gamma, Delta and beta pass through zero
 together, and evaluating them costs several digits to cancellation.  The
 real combinations are therefore assembled in extended precision
 (np.longdouble, 80-bit on x86 Linux) starting from (E, V0), and rounded
-to double only at the API boundary.  This keeps |T|^2 + |R|^2 - 1 at the
-1e-15 level away from resonances and within about 1.4e-13 at points
-drawn close to one (1.41e-13 on the resonance points of perfbench's
-50-digit accuracy grid); plain double would lose up to five digits there.
+to double only at the API boundary; plain double would lose up to five
+digits there.  The probabilities are |T|^2 = 1/(1 + beta^2) and
+|R|^2 = beta^2/(1 + beta^2) over one denominator, so |T|^2 + |R|^2 - 1
+is only the rounding of the two quotients to double (at most 1.11e-16
+on 2 x 10^6 random evanescent points).
 
 Every formula above is written once, in the record `_prepare` returns:
 the scalar functions, the bulk ones and the times are all views of it.
@@ -122,7 +123,12 @@ _LD = np.longdouble
 
 
 def _extended_kinematics(E, V0, mass):
-    """Extended-precision (k, q, alpha), numpy scalars for 0-d input; the regime must be valid."""
+    """Extended-precision (k, q, alpha) and their energy slopes (k', q', alpha'/alpha).
+
+    Numpy scalars for 0-d input; the regime must be valid.  E - V0 is taken
+    in extended precision: alpha'/alpha carries (E - V0)/q^2, which grows
+    without bound as q -> 0.
+    """
     El = np.asarray(E, dtype=_LD)[()]
     Vl = np.asarray(V0, dtype=_LD)[()]
     ml = np.asarray(mass, dtype=_LD)[()]
@@ -130,7 +136,9 @@ def _extended_kinematics(E, V0, mass):
     diff = El - Vl
     q = np.sqrt((ml - diff) * (ml + diff))
     alpha = (k / q) * (diff + ml) / (El + ml)
-    return k, q, alpha
+    dk = El / k
+    dq = -diff / q
+    return k, q, alpha, dk, dq, dk / k - dq / q + 1.0 / (diff + ml) - 1.0 / (El + ml)
 
 
 class _Hyperbolics(NamedTuple):
@@ -155,16 +163,18 @@ class _ClosedForm:
     """The closed solution at one point or over a grid: every formula, once.
 
     Holds the validated inputs (E, V0, a, l, mass), the span 2a + l, the
-    extended-precision k, q, alpha, the rescaled Gamma and Delta (``gam``,
-    ``dlt``), the hyperbolics and the sines of kl.  Everything else is
-    computed on first use.  Each quantity keeps the shape of the inputs it
-    depends on.  Real quantities stay in extended precision; U, T and R
-    are complex128.
+    extended-precision k, q, alpha and their energy slopes ``dk`` = k',
+    ``dq`` = q', ``dlog_alpha`` = alpha'/alpha, the rescaled Gamma and
+    Delta (``gam``, ``dlt``), the hyperbolics and the sines of kl.
+    Everything else is computed on first use.  Each quantity keeps the
+    shape of the inputs it depends on.  Real quantities stay in extended
+    precision; U, T and R are complex128.
     """
 
-    def __init__(self, E, V0, a, l, mass, k, q, alpha):
+    def __init__(self, E, V0, a, l, mass, k, q, alpha, dk, dq, dlog_alpha):
         self.E, self.V0, self.a, self.l, self.mass = E, V0, a, l, mass
         self.k, self.q, self.alpha = k, q, alpha
+        self.dk, self.dq, self.dlog_alpha = dk, dq, dlog_alpha
         self.span = 2.0 * a + l
         self.hyp = hyp = _hyperbolics(q, a)
         self.kl = kl = k * l
@@ -208,11 +218,6 @@ class _ClosedForm:
         return 8.0 * al2 * np.exp(-2.0j * ka) / (gam + 1.0j * dlt)
 
     @_computed_once
-    def abs_u2(self):
-        """|U|^2 = e^{4qa} |T|^2."""
-        return 64.0 * self.alpha**4 / (self.gam**2 + self.dlt**2)
-
-    @_computed_once
     def T(self):
         return np.float64(self.hyp.e2) * self.u
 
@@ -226,13 +231,14 @@ class _ClosedForm:
         """Principal-branch transmission phase kl - atan2(Delta, Gamma)."""
         return self.kl - np.arctan2(self.dlt, self.gam)
 
+    # |T|^2 = 1 / (1 + beta^2) and |R|^2 = beta^2 / (1 + beta^2): they sum to one by construction.
     @_computed_once
     def magT2(self):
-        return self.hyp.e4 * self.abs_u2
+        return self.hyp.e4 / (self.hyp.e4 + self.beta_hat**2)
 
     @_computed_once
     def magR2(self):
-        return self.beta_hat**2 * self.abs_u2
+        return self.beta_hat**2 / (self.hyp.e4 + self.beta_hat**2)
 
 
 def _prepare(E, V0, a, l, mass) -> _ClosedForm:

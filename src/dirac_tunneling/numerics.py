@@ -1,17 +1,15 @@
 """Small numerical utilities shared across the package.
 
 Nothing here knows about barriers or spinors: branch-continued phases,
-Richardson-extrapolated derivatives, an adaptive Simpson quadrature and a
-golden-section minimizer.  They are array-native where it pays: the
-quadrature takes array integrands and refines all its panels level by
-level, one integrand call per level; the derivative evaluates its
-four-point stencil in one call; the minimizer steps arrays of brackets
-in lock-step, one objective call per step.  Kept separate so the
-oracle-style routines can depend on them without touching the
-closed-form layer.
+an adaptive Simpson quadrature and a golden-section minimizer.  They are
+array-native where it pays: the quadrature takes array integrands and
+refines all its panels level by level, one integrand call per level; the
+minimizer steps arrays of brackets in lock-step, one objective call per
+step.  Kept separate so the oracle-style routines can depend on them
+without touching the closed-form layer.
 
 Branch continuation has one rule, `continue_branch`; PhaseTracker
-applies it one value at a time and `phase_derivative` to its stencil.
+applies it one value at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ __all__ = [
     "adaptive_simpson",
     "continue_branch",
     "golden_section_min",
-    "phase_derivative",
 ]
 
 
@@ -70,7 +67,7 @@ def continue_branch(values: Sequence[float], period: float = math.pi) -> np.ndar
     """
     values = np.asarray(values)
     values = values.astype(np.result_type(values, float), copy=False)
-    # In place: one array of steps besides the result (the NR sweep's stencil is 4 x 10^5 longdoubles).
+    # In place: one array of steps besides the result.
     shifts = values[1:] - values[:-1]
     shifts /= period
     np.rint(shifts, out=shifts)
@@ -79,29 +76,6 @@ def continue_branch(values: Sequence[float], period: float = math.pi) -> np.ndar
     out = values.copy()
     np.subtract(values[1:], shifts, out=out[1:])
     return out
-
-
-def phase_derivative(
-    f: Callable[[np.ndarray], np.ndarray],
-    x,
-    h,
-    period: float | None = math.pi,
-):
-    """Richardson-extrapolated central derivative of a phase-like function.
-
-    Evaluates ``f`` once, on the stacked stencil x -+ h, x -+ h/2 (a
-    leading axis of four, so ``x`` and ``h`` may be arrays), continues the
-    four samples' branch with :func:`continue_branch` (pass ``period=None``
-    for an ordinary smooth function), and combines the two central
-    differences as (4 D(h/2) - D(h)) / 3, cancelling the leading O(h^2)
-    error.
-    """
-    samples = f(np.array([x - h, x - h / 2, x + h / 2, x + h]))
-    if period is not None:
-        samples = continue_branch(samples, period)
-    coarse = (samples[3] - samples[0]) / (2.0 * h)
-    fine = (samples[2] - samples[1]) / h
-    return (4.0 * fine - coarse) / 3.0
 
 
 # Rows of a split panel, from rows x0 x1 x2 f0 f1 f2 xq0 xq1 fq0 fq1 of its parent

@@ -32,7 +32,7 @@ import numpy as np
 from .kinematics import BarrierSystem, RegimeError, regime_error
 from .numerics import continue_branch, golden_section_min
 from .amplitudes import _prepare
-from .times import _NRWindowError, _bulk_nr_phase_time, _bulk_times, opaque_limit_times
+from .times import _bulk_nr_phase_time, _bulk_times, opaque_limit_times
 
 __all__ = [
     "FIGURE_IDS",
@@ -134,12 +134,8 @@ def run_sweep(spec: SweepSpec) -> SweepDataset:
 
     tau_p_nr = None
     if spec.include_nr:
-        try:
-            tau_p_nr = _bulk_nr_phase_time(np.asarray(E, dtype=float) - mass, V0, a, l, mass)
-        except _NRWindowError as exc:
-            i = exc.index
-            where = f"sweep point {spec.swept}={float(grid[i])!r} (index {i})"
-            raise _NRWindowError(where, i) from None
+        # Inside the NR window wherever _bulk_times accepted the point: the same tests on the same doubles.
+        tau_p_nr = _bulk_nr_phase_time(np.asarray(E, dtype=float) - mass, V0, a, l, mass)
 
     tau_p_opaque = None
     tau_d_opaque = None

@@ -3,18 +3,19 @@
 Three times characterize the traversal:
 
 * phase time tau_p: energy derivative of the transmission phase,
-  evaluated here from a closed expression rather than numerically;
+  evaluated here in closed form rather than numerically;
 * self-interference delay tau_i: the contribution of the standing-wave
   pattern in front of the potential, tau_i = -(m/k^2) Im R;
 * dwell time tau_d: mean time spent in 0 < z < 2a+l, related to the
   others by tau_d = tau_p - tau_i for a symmetric real potential.
 
-The closed phase-time expression has the shape
+The phase time is the exact energy derivative of phi_t = kl - atan2(Delta, Gamma),
 
-    tau_p = l E / k - h1 / (k^2 q^2 (Gamma^2 + Delta^2)),
+    tau_p = l k' - (Gamma Delta' - Delta Gamma') / (Gamma^2 + Delta^2),
 
-with h1 = Delta*B_Delta + Gamma*B_Gamma a combination of the same
-Gamma/Delta pair that builds the transmission phase.  tau_i likewise has
+with Gamma' and Delta' taken by the chain rule through the slopes k', q'
+and alpha'/alpha that the record's kinematics carry.  The same code with
+Schroedinger kinematics gives the nonrelativistic phase time.  tau_i has
 an explicit form (1+alpha^2)/(4 alpha^3) * (m/k^2) * h2/h3.  Both are
 evaluated with the e^{2qa} growth divided out (see `amplitudes`), making
 them usable at arbitrarily large qa, which is exactly where the saturated
@@ -45,7 +46,6 @@ import numpy as np
 
 from .amplitudes import _bulk, _ClosedForm, _prepare
 from .kinematics import BarrierSystem, kinematic_point
-from .numerics import phase_derivative
 
 __all__ = [
     "AppendixTerms",
@@ -104,9 +104,11 @@ class AppendixTerms:
 
     All values carry the overflow-safe rescaling: Gamma and Delta are the
     phase numerator/denominator times e^{-2qa}, and h1, h2, h3 carry
-    e^{-4qa}.  The rescaling cancels in every ratio these terms enter, and
-    the sign/positivity invariants (Gamma^2 + Delta^2 > 0, h3 > 0) are
-    unaffected.
+    e^{-4qa}.  h1 = k^2 q^2 (Gamma Delta' - Delta Gamma'), with ' the
+    energy derivative at fixed a and l, so that
+    tau_p = l E / k - h1 / (k^2 q^2 (Gamma^2 + Delta^2)).  The rescaling
+    cancels in every ratio these terms enter, and the sign/positivity
+    invariants (Gamma^2 + Delta^2 > 0, h3 > 0) are unaffected.
     """
 
     Gamma: float
@@ -116,32 +118,30 @@ class AppendixTerms:
     h3: float
 
 
-def _h1(rec: _ClosedForm):
-    """Rescaled h1 = Delta B_Delta + Gamma B_Gamma, from the braces B of the phase time."""
-    E, V0, mass, k, q, alpha, hyp = rec.E, rec.V0, rec.mass, rec.k, rec.q, rec.alpha, rec.hyp
+def _phase_cross(rec: _ClosedForm):
+    """Rescaled Gamma Delta' - Delta Gamma', by the chain rule through the record's slopes.
+
+    The rescaled hyperbolics move as c2' = -2aq' e4, s2' = 2aq' e4 and
+    s1sq' = aq' e2 (1 - e2); the e^{-2qa} rescaling cancels in this
+    combination, so it is e^{-4qa} times the unscaled one.
+    """
+    alpha, g, hyp = rec.alpha, rec.dlog_alpha, rec.hyp
     al2 = alpha * alpha
-    P = 1.0 + al2
-    kl2 = 2.0 * rec.kl
-    s2l = rec.sin_2kl
-    c2l = rec.cos_2kl
-    ksq = k * k
-    qsq = q * q
-    ksum = ksq + qsq
-    two_qa = 2.0 * (q * rec.a)
-    # The terms linear in 2qa cancel against each other in h1 as qa -> inf;
-    # with all hyperbolics O(1) the cancellation costs no precision.
-    b_delta = (
-        2.0 * P * (P * E * qsq * kl2 * s2l - 4.0 * al2 * mass * ksum * c2l) * hyp.s1sq
-        - 4.0 * al2 * mass * ksum * (P * hyp.e2 + (3.0 - al2) * hyp.c2)
-        + ksq * two_qa * (E - V0) * (P * P * c2l - (1.0 - 6.0 * al2 + al2 * al2)) * hyp.s2
+    one = 1.0 + al2
+    dal2 = 2.0 * al2 * g           # (alpha^2)'
+    dkl = rec.dk * rec.l           # (kl)'
+    aq = rec.a * rec.dq            # a q'
+    ds2 = 2.0 * aq * hyp.e4        # = -c2'
+    ds1sq = aq * hyp.e2 * (1.0 - hyp.e2)
+    sin_sq = rec.sin_kl * rec.sin_kl
+    dgam = 8.0 * (dal2 * hyp.c2 - al2 * ds2) - 4.0 * one * (
+        2.0 * dal2 * sin_sq * hyp.s1sq + one * (rec.sin_2kl * dkl * hyp.s1sq + sin_sq * ds1sq)
     )
-    b_gamma = (
-        -4.0 * alpha * (1.0 - al2) * ksq * two_qa * (E - V0) * hyp.c2
-        + 2.0 * P * (P * E * qsq * kl2 * c2l + 4.0 * al2 * mass * ksum * s2l) * hyp.s1sq
-        + (4.0 * alpha * (1.0 - 3.0 * al2) * mass * ksum - P * P * ksq * two_qa * (E - V0) * s2l)
-        * hyp.s2
+    ddlt = 4.0 * alpha * (g * (1.0 - 3.0 * al2) * hyp.s2 + (1.0 - al2) * ds2) + 2.0 * one * (
+        2.0 * dal2 * rec.sin_2kl * hyp.s1sq
+        + one * (2.0 * rec.cos_2kl * dkl * hyp.s1sq + rec.sin_2kl * ds1sq)
     )
-    return rec.dlt * b_delta + rec.gam * b_gamma
+    return rec.gam * ddlt - rec.dlt * dgam
 
 
 def _h2_h3(alpha, parts: _ClosedForm):
@@ -160,16 +160,17 @@ def _h2_h3(alpha, parts: _ClosedForm):
 
 
 def _tau_p(rec: _ClosedForm):
-    denom = (rec.k * rec.k) * (rec.q * rec.q) * (rec.gam**2 + rec.dlt**2)
-    return rec.l * rec.E / rec.k - _h1(rec) / denom
+    """Phase time dphi_t/dE = l k' - (Gamma Delta' - Delta Gamma') / (Gamma^2 + Delta^2)."""
+    return rec.l * rec.dk - _phase_cross(rec) / (rec.gam**2 + rec.dlt**2)
 
 
 def phase_time_closed(E: float, system: BarrierSystem) -> float:
-    """Phase time from the closed expression.
+    """Phase time, the exact energy derivative of the closed transmission phase.
 
-    Agrees with the numeric derivative of the transmission phase to the
-    differentiation accuracy, but stays exact in the opaque regime where
-    finite differences lose the signal.
+    Agrees with a numeric derivative of the transmission phase to the
+    differentiation accuracy, but has no step size: it stays exact in the
+    opaque regime and at sharp resonances, where finite differences lose
+    the signal.
     """
     return float(_tau_p(_prepare(E, system.V0, system.a, system.l, system.mass)))
 
@@ -181,7 +182,7 @@ def appendix_terms(E: float, system: BarrierSystem) -> AppendixTerms:
     return AppendixTerms(
         Gamma=float(rec.gam),
         Delta=float(rec.dlt),
-        h1=float(_h1(rec)),
+        h1=float((rec.k * rec.k) * (rec.q * rec.q) * _phase_cross(rec)),
         h2=float(h2),
         h3=float(h3),
     )
@@ -293,24 +294,32 @@ class _NRWindowError(ValueError):
 
     def __init__(self, detail: str, index: int | None):
         super().__init__(
-            "nonrelativistic window requires 0 < E_kin < V0 (including the derivative "
-            f"stencil) and finite widths a, l >= 0 ({detail})"
+            f"nonrelativistic window requires 0 < E_kin < V0 and finite widths a, l >= 0 ({detail})"
         )
         self.index = index
 
 
 def _nr_kinematics(E_kin, V0, mass):
+    """Schroedinger (k, q, alpha = k/q) and their slopes in E_kin, as `amplitudes` gives them."""
     Ek = np.asarray(E_kin, dtype=np.longdouble)[()]
     Vl = np.asarray(V0, dtype=np.longdouble)[()]
     ml = np.asarray(mass, dtype=np.longdouble)[()]
     k = np.sqrt(2.0 * ml * Ek)
     q = np.sqrt(2.0 * ml * (Vl - Ek))
-    return k, q, k / q
+    dk = ml / k
+    dq = -ml / q
+    return k, q, k / q, dk, dq, dk / k - dq / q
 
 
-def _nr_record(E_kin, V0, a, l, mass) -> _ClosedForm:
-    """The closed-form record with Schroedinger-limit kinematics: same structural formulas."""
-    return _ClosedForm(E_kin, V0, a, l, mass, *_nr_kinematics(E_kin, V0, mass))
+def _check_nr_window(E_kin, V0, a, l) -> None:
+    """Raise _NRWindowError at the first point outside 0 < E_kin < V0 or with a bad width."""
+    E_kin, V0, a, l = (np.asarray(x, dtype=float) for x in (E_kin, V0, a, l))
+    ok = (0.0 < E_kin) & (E_kin < V0) & (0.0 <= a) & (a < math.inf) & (0.0 <= l) & (l < math.inf)
+    if not np.all(ok):
+        i = None if ok.ndim == 0 else int(np.flatnonzero(~ok)[0])
+        e, v, w, s = (float(np.broadcast_to(x, ok.shape).flat[i or 0]) for x in (E_kin, V0, a, l))
+        where = "" if i is None else f"grid index {i}: "
+        raise _NRWindowError(f"{where}E_kin={e!r}, V0={v!r}, a={w!r}, l={s!r}", i)
 
 
 def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
@@ -318,49 +327,30 @@ def nonrelativistic_times(E_kin: float, system: BarrierSystem) -> TimeReport:
 
     Uses k = sqrt(2 m E_kin), q = sqrt(2 m (V0 - E_kin)) and alpha = k/q
     in the same phase and amplitude structure as the relativistic case.
-    The phase time is the Richardson derivative of the vectorized sweep
-    path (relative step 1e-6 in E_kin); tau_i again equals -(m/k^2) Im R.
+    The phase time is the same closed energy derivative, with the slopes
+    k' = m/k, q' = -m/q in E_kin; tau_i again equals -(m/k^2) Im R.
     ``t_free`` uses the nonrelativistic velocity k/m.
     """
-    tau_p = _bulk_nr_phase_time(E_kin, system.V0, system.a, system.l, system.mass)
-    rec = _nr_record(E_kin, system.V0, system.a, system.l, system.mass)
+    _check_nr_window(E_kin, system.V0, system.a, system.l)
+    V0, mass = system.V0, system.mass
+    rec = _ClosedForm(E_kin, V0, system.a, system.l, mass, *_nr_kinematics(E_kin, V0, mass))
     k_d = float(rec.k)
     return TimeReport.from_split(
-        tau_p=tau_p,
-        tau_i=-(system.mass / k_d**2) * rec.R.imag,
-        t_free=system.span * system.mass / k_d,
+        tau_p=_tau_p(rec),
+        tau_i=-(mass / k_d**2) * rec.R.imag,
+        t_free=system.span * mass / k_d,
         t_light=system.span,
     )
 
 
 def _bulk_nr_phase_time(E_kin, V0, a, l, mass=1.0) -> np.ndarray:
-    """Vectorized NR phase time: `phase_derivative` of phi_t in E_kin, step 1e-6 E_kin.
-
-    The stencil is a new leading axis of the un-broadcast E_kin.  Only the
-    phase evaluations go through the block pool; the derivative itself runs
-    on the calling thread.
-    """
-    E_kin, V0, a, l = (np.asarray(x, dtype=float) for x in (E_kin, V0, a, l))
-    E_kin = E_kin[(np.newaxis,) * (max(V0.ndim, a.ndim, l.ndim) - E_kin.ndim)]
-    h = 1e-6 * E_kin
-    ok = (
-        (E_kin - h > 0.0) & (E_kin + h < V0)
-        & (0.0 <= a) & (a < math.inf) & (0.0 <= l) & (l < math.inf)
-    )
-    if not np.all(ok):
-        i = None if ok.ndim == 0 else int(np.flatnonzero(~ok)[0])
-        e, v, w, s = (float(np.broadcast_to(x, ok.shape).flat[i or 0]) for x in (E_kin, V0, a, l))
-        where = "" if i is None else f"grid index {i}: "
-        raise _NRWindowError(f"{where}E_kin={e!r}, V0={v!r}, a={w!r}, l={s!r}", i)
-
-    def phi_t(x):
-        return _bulk(_nr_phase, x, V0, a, l, mass, _nr_kinematics)["phi_t"]
-
-    return phase_derivative(phi_t, E_kin, h).astype(float)
+    """Vectorized NR phase time in closed form, on the block pool once the grid is large."""
+    _check_nr_window(E_kin, V0, a, l)
+    return _bulk(_nr_fields, E_kin, V0, a, l, mass, _nr_kinematics)["tau_p"]
 
 
-def _nr_phase(rec: _ClosedForm) -> dict:
-    return {"phi_t": rec.phi_t}
+def _nr_fields(rec: _ClosedForm) -> dict:
+    return {"tau_p": np.asarray(_tau_p(rec), dtype=float)}
 
 
 def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:

@@ -13,14 +13,20 @@ no code with the package:
                              T = 8 al^2 e^{-2ika} / (Gamma + i Delta)
     |T|^2 = 64 al^4 / (Gamma^2 + Delta^2)
 
+and the nonrelativistic phase time is mp.diff of the same phase with
+Schroedinger kinematics k = sqrt(2 m E_kin), q = sqrt(2 m (V0 - E_kin)),
+al = k/q, at E_kin = E - m on the same grid.
+
 The seeded grid holds 8 points of each of five kinds: plain points,
 q -> 0 (V0 within 1e-8..1e-2 of E -+ m), k -> 0 (E - m in 1e-8..1e-2),
 near a transmission resonance (relative offset 1e-12..1e-3 from a
 closed-form zero of beta) and opaque barriers (qa up to 400).  Each
 budget is 4 times the worst error of the scalar and bulk paths on this
-grid, measured with the 80-bit longdouble build.  The phase time has a
-budget of its own at q -> 0, where the braces of h1 cancel: there it
-loses up to 2.4e-7, elsewhere at most 6e-14.
+grid, measured with the 80-bit longdouble build.  The phase times have
+a budget of their own at q -> 0, where alpha'/alpha grows like 1/q^2 and
+the terms of the derivative cancel: there they lose up to 2.7e-12,
+elsewhere at most 6e-14.  The nonrelativistic grid also holds a point
+where a Richardson stencil of step 1e-6 E_kin missed by 1.8e-5.
 """
 
 import math
@@ -30,22 +36,25 @@ import pytest
 
 from dirac_tunneling import BarrierSystem, scattering_solution, time_report
 from dirac_tunneling.amplitudes import bulk_amplitudes
-from dirac_tunneling.times import _bulk_times
+from dirac_tunneling.times import _bulk_nr_phase_time, _bulk_times, nonrelativistic_times
 
 mp = pytest.importorskip("mpmath")
 
 pytestmark = pytest.mark.skipif(
     np.finfo(np.longdouble).nmant != 63,
-    reason="budgets measured for the 80-bit longdouble build (float64 is ROADMAP item 2(c))",
+    reason="budgets measured for the 80-bit longdouble build "
+    "(float64 is ROADMAP item 6, precision without x87 longdouble)",
 )
 
 # 4 times the worst error on the grid, scalar and bulk paths alike.
 BUDGET = {
     "tau_p": 4 * 5.95e-14,  # relative, all kinds but q -> 0
-    "tau_p_q_edge": 4 * 2.38e-7,  # relative, q -> 0
+    "tau_p_q_edge": 4 * 2.49e-12,  # relative, q -> 0
     "tau_i": 4 * 5.92e-14,  # absolute, in units of m/k^2
-    "magT2": 4 * 3.79e-14,  # relative, where |T|^2 is a normal double
-    "unitarity": 4 * 3.45e-14,  # |T|^2 + |R|^2 - 1
+    "magT2": 4 * 3.38e-15,  # relative, where |T|^2 is a normal double
+    "unitarity": 4 * 1.11e-16,  # |T|^2 + |R|^2 - 1; 0 on this grid
+    "tau_p_nr": 4 * 3.89e-14,  # relative, all kinds but q -> 0
+    "tau_p_nr_q_edge": 4 * 2.65e-12,  # relative, q -> 0
 }
 
 _PER_KIND = 8
@@ -71,6 +80,19 @@ def _phase(E, V0, a, l, m):
     k, q, al = _kinematics(E, V0, m)
     gam, dlt = _gamma_delta(k, q, al, a, l)
     return k * l - mp.atan2(dlt, gam)
+
+
+def _nr_phase(E_kin, V0, a, l, m):
+    k, q = mp.sqrt(2 * m * E_kin), mp.sqrt(2 * m * (V0 - E_kin))
+    gam, dlt = _gamma_delta(k, q, k / q, a, l)
+    return k * l - mp.atan2(dlt, gam)
+
+
+def _nr_reference(E_kin, V0, a, l, m=1.0):
+    """The nonrelativistic tau_p at the exact binary values of the double inputs."""
+    with mp.workdps(50):
+        E_kin, V0, a, l, m = (mp.mpf(x) for x in (E_kin, V0, a, l, m))
+        return float(mp.diff(lambda x: _nr_phase(x, V0, a, l, m), E_kin))
 
 
 def _reference(E, V0, a, l, m=1.0):
@@ -133,6 +155,16 @@ def _grid():
 _KIND, *_COLUMNS = (np.array(column) for column in zip(*_grid()))
 _Q_EDGE = _KIND == "q_edge"
 
+# The grid at E_kin = E - m, then a point where a Richardson stencil of step
+# 1e-6 E_kin gave 1117.222057908897 against mpmath's 1117.2423290178247.
+_NR_COLUMNS = [
+    np.append(column, extra) for column, extra in zip(
+        (_COLUMNS[0] - 1.0, *_COLUMNS[1:]),
+        (1.6808634405998637, 1.8763740995933487, 10.360227019707729, 5.498892810053804),
+    )
+]
+_NR_Q_EDGE = np.append(_Q_EDGE, False)
+
 
 @pytest.fixture(scope="module")
 def reference():
@@ -170,3 +202,12 @@ def test_scalar_paths_within_budget(reference):
 def test_bulk_paths_within_budget(reference):
     times, amp = _bulk_times(*_COLUMNS), bulk_amplitudes(*_COLUMNS)
     _within_budget(_errors(reference, times["tau_p"], times["tau_i"], amp["magT2"], amp["magR2"]))
+
+
+def test_nonrelativistic_phase_time_within_budget():
+    ref = np.array([_nr_reference(*point) for point in zip(*_NR_COLUMNS)])
+    scalar = np.array([nonrelativistic_times(E_kin, BarrierSystem(V0=V0, a=a, l=l)).tau_p
+                       for E_kin, V0, a, l in zip(*(column.tolist() for column in _NR_COLUMNS))])
+    for tau_p in (scalar, _bulk_nr_phase_time(*_NR_COLUMNS)):
+        err = np.abs(tau_p - ref) / np.abs(ref)
+        _within_budget({"tau_p_nr": err[~_NR_Q_EDGE], "tau_p_nr_q_edge": err[_NR_Q_EDGE]})

@@ -61,6 +61,19 @@ def test_unitarity_random_grid(random_grid_small):
     assert defect.max() < 1e-12
 
 
+# Opaque, non-resonant points where |T|^2 + |R|^2 - 1 reached 4.6e-12 and 2.5e-12
+# while each probability was assembled from Gamma and Delta rather than from beta.
+@pytest.mark.parametrize("E, V0, a, l", [
+    (2.7711344075752153, 3.3953543690797363, 15.596609746245413, 7.047141578441659),
+    (1.803690857795717, 2.3318253741528423, 13.376005562916893, 7.986158490074246),
+])
+def test_unitarity_by_construction_at_opaque_points(E, V0, a, l):
+    sol = scattering_solution(E, BarrierSystem(V0=V0, a=a, l=l))
+    out = bulk_amplitudes(E, V0, a, l)
+    assert abs(sol.magT2 + sol.magR2 - 1.0) <= np.finfo(float).eps
+    assert abs(out["magT2"] + out["magR2"] - 1.0) <= np.finfo(float).eps
+
+
 def test_reflection_phase_locked_to_transmission():
     # R = beta exp(i(k w - pi/2)) T with real beta, so R e^{-ikw} / T is
     # purely imaginary at every evanescent point.

@@ -42,7 +42,7 @@ def _shapes(n, rows, cols):
 
 
 SHAPES = _shapes(400, 40, 30)
-# Several blocks each, the last one partial (the NR stencil has four times the points).
+# Several blocks each, the last one partial.
 LARGE = _shapes(5 * amplitudes._BLOCK + 123, 311, 97)
 
 
@@ -77,7 +77,7 @@ def test_reduced_shape_value_error_names_full_index():
 
 # SHA-256 of the float64 bytes of the bulk outputs on a fixed random grid.
 # Like the figure CSV pins, it holds for the 80-bit x87 longdouble build.
-BULK_SHA256 = "a7a9cf9ddf7adc9fe91524d033291e7621d022964e4123b9eb5e20ba0c38aa9d"
+BULK_SHA256 = "5682139027ec94af7a789ca3d9ea22e4a1e7d9b095eb2d19f3dc9a5fc4dc8c0b"
 
 
 @pytest.mark.skipif(
@@ -147,8 +147,8 @@ def test_blocked_errors_name_the_global_point(monkeypatch):
 
 
 def test_public_functions_run_on_the_calling_thread(monkeypatch):
-    # Only private record code runs on the pool; numerics.phase_derivative and
-    # continue_branch, and every other public function, stay on the caller's thread.
+    # Only private record code runs on the pool; numerics.continue_branch and
+    # every other public function stay on the caller's thread.
     public = {id(getattr(mod, name)): f"{mod.__name__}.{name}"
               for mod in (numerics, amplitudes, times) for name in mod.__all__
               if callable(getattr(mod, name)) and not isinstance(getattr(mod, name), type)}
@@ -179,8 +179,7 @@ def test_public_functions_run_on_the_calling_thread(monkeypatch):
     dataset = scenarios.run_sweep(spec)
     assert np.all(np.isfinite(dataset.tau_p_nr))
     names = {name for name, _ in calls}
-    assert {"dirac_tunneling.numerics.phase_derivative", "dirac_tunneling.numerics.continue_branch",
-            "dirac_tunneling.times.opaque_limit_times"} <= names
+    assert {"dirac_tunneling.numerics.continue_branch", "dirac_tunneling.times.opaque_limit_times"} <= names
     assert all(on_main for _, on_main in calls), [name for name, on_main in calls if not on_main]
     assert False in record_threads  # the sweep's records were built on the pool
 

@@ -181,9 +181,9 @@ def test_figure_csv_file(tmp_path, capsys):
 # 80-bit x87 longdouble build (x86 Linux); a longdouble of another width
 # rounds the extended-precision intermediates differently.
 FIGURE_SHA256 = {
-    "2A": "b3517a87195d1253c91954f99a00f2eda7eb870e862b91bbe00c47772c2ef987",
-    "2B": "25757d43d4b1ec931f418e1c887c46760702a26690c6a000041e1cf084a17537",
-    "2C": "6fdc70dcf92da5b50f3e79f7d2673cbc871bae42291c9db2424e60e9d1c29f76",
+    "2A": "0cf6d2024d6de33bf0e05c480f889f671e2e186a9d75b7951183566b15cc3caf",
+    "2B": "6488bd089f0719e6f5e5d1682b6601b5c8823dec2fe91d39b2c8d467d7a1146e",
+    "2C": "4947e091ca37983b3012b646024ebec5b1f96cb56ec72b05ccf61b08e999ad9f",
     "3A": "50a1f062e4071f8954d032753f445f71a6f87cef6f922df223ff00f528fadcd6",
     "3B": "44cf8491c1fb15800b470c7ab099d896545389ef0fe45c26e50648487eb55215",
 }

@@ -1,4 +1,4 @@
-"""Branch tracking, differentiation, quadrature, and minimization utilities."""
+"""Branch tracking, quadrature, and minimization utilities."""
 
 import math
 
@@ -10,7 +10,6 @@ from dirac_tunneling.numerics import (
     adaptive_simpson,
     continue_branch,
     golden_section_min,
-    phase_derivative,
 )
 
 
@@ -84,28 +83,6 @@ def test_continue_branch_along_axis_0_keeps_dtype():
         assert np.array_equal(continued[:, column], continue_branch(_principal(true[:, column])))
     assert np.allclose(continued - continued[0], true - true[0], atol=1e-15)
     assert continue_branch([0.0, 3.0]).dtype == np.float64
-
-
-def test_phase_derivative_plain_function():
-    # no branch folding: derivative of sin at 0.4
-    d = phase_derivative(np.sin, 0.4, 1e-4, period=None)
-    assert d == pytest.approx(math.cos(0.4), rel=1e-10)
-
-
-def test_phase_derivative_through_branch_cut():
-    # f returns a principal value; unwrapped slope is 0.7
-    f = lambda x: np.remainder(0.7 * x + math.pi / 2, math.pi) - math.pi / 2
-    x0 = math.pi / 1.4  # 0.7 x0 = pi/2, right at the fold
-    d = phase_derivative(f, x0, 1e-3)
-    assert d == pytest.approx(0.7, rel=1e-9)
-
-
-def test_phase_derivative_richardson_order():
-    # error should drop ~16x when h drops 2x for a smooth quartic-limited rule
-    f = np.exp
-    e1 = abs(phase_derivative(f, 0.0, 1e-2, period=None) - 1.0)
-    e2 = abs(phase_derivative(f, 0.0, 5e-3, period=None) - 1.0)
-    assert e2 < e1 / 8.0
 
 
 def test_adaptive_simpson_smooth():

@@ -323,7 +323,7 @@ def test_bulk_times_matches_scalar():
 # the scalar t_free divides in double), so each path has its own pin.  The
 # seed's grid holds points where the NR prefactor m/k^2 rounds differently
 # for k**2 (C pow) and k*k, so the pin also sees that choice.
-SCALAR_SHA256 = "7667ed9a2261fc54c337a9d3888a6e4a25965d178117192f3e9d67adc033ea9d"
+SCALAR_SHA256 = "30b0b3cd1b1a70f3ffa30ed8f62aabdc4f860f3fe76b6902538519e24b9f4e76"
 
 
 @pytest.mark.skipif(

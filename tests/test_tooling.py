@@ -1,5 +1,5 @@
 """Repository tooling: the demos run, the oracle stays independent of the closed forms,
-and each CLI key is declared once."""
+each CLI key is declared once, and no public numerics helper is dead."""
 
 import argparse
 import ast
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from dirac_tunneling import cli
+from dirac_tunneling import cli, numerics
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -66,6 +66,18 @@ def test_one_phase_formula_and_one_branch_rule():
     assert _calls("arctan2") == ["amplitudes.py"]
     assert _calls("unwrap") == []
     assert _calls("rint") == ["numerics.py"]
+
+
+def test_every_numerics_helper_has_a_package_user():
+    # A public helper that no package module imports is dead code: delete it with its tests.
+    imported = set()
+    for path in sorted((ROOT / "src" / "dirac_tunneling").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == "numerics":
+                imported |= {alias.name for alias in node.names}
+    assert set(numerics.__all__) <= imported, set(numerics.__all__) - imported
 
 
 def test_each_cli_key_is_declared_once():

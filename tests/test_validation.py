@@ -61,8 +61,8 @@ def test_nr_window_error_names_the_first_bad_point():
         _bulk_nr_phase_time([0.5, 0.9, 2.0, 3.0], 1.5, 0.7, 0.7)
     assert exc.value.index == 2
     assert str(exc.value) == (
-        "nonrelativistic window requires 0 < E_kin < V0 (including the derivative "
-        "stencil) and finite widths a, l >= 0 (grid index 2: E_kin=2.0, V0=1.5, a=0.7, l=0.7)"
+        "nonrelativistic window requires 0 < E_kin < V0 and finite widths a, l >= 0 "
+        "(grid index 2: E_kin=2.0, V0=1.5, a=0.7, l=0.7)"
     )
     with pytest.raises(ValueError, match=r"\(E_kin=1.6, V0=1.5, a=0.7, l=0.7\)") as exc:
         _bulk_nr_phase_time(1.6, 1.5, 0.7, 0.7)
