@@ -37,6 +37,14 @@ Every formula above is written once, in the record `_prepare` returns:
 the scalar functions, the bulk ones and the times are all views of it.
 0-d inputs are evaluated as numpy scalars on the same code path as arrays.
 
+A one-point call keeps its record (`numerics._LastPoint`), and the next
+one-point call at the same float inputs, bit for bit, reuses it with all
+it has computed (T, R, U, beta, ...): `time_report` then
+`scattering_solution` at one point build one record.  Only the last
+point is kept, once validated; array calls, the bulk functions and the
+nonrelativistic times neither read nor replace it.  Outputs are bit for
+bit those of a fresh record, and nothing about this is configurable.
+
 A bulk call of 2^14 points or more is cut along the longest axis of its
 broadcast shape into blocks of about 4096 points, small enough for their
 extended-precision intermediates to stay in a core's cache, and the
@@ -67,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kinematics import BarrierSystem, _validate
-from .numerics import PhaseTracker
+from .numerics import PhaseTracker, _LastPoint
 
 __all__ = [
     "RegionCoefficients",
@@ -241,8 +249,18 @@ class _ClosedForm:
         return self.beta_hat**2 / (self.hyp.e4 + self.beta_hat**2)
 
 
+_last_record = _LastPoint()
+
+
 def _prepare(E, V0, a, l, mass) -> _ClosedForm:
-    """Validate, then the closed-form record: the one entry to the closed forms."""
+    """Validate, then the closed-form record: the one entry to the closed forms.
+
+    At the float inputs of the last one-point call, that call's record.
+    """
+    return _last_record(_new_record, E, V0, a, l, mass)
+
+
+def _new_record(E, V0, a, l, mass) -> _ClosedForm:
     _validate(E, V0, a, l, mass)
     return _ClosedForm(E, V0, a, l, mass, *_extended_kinematics(E, V0, mass))
 

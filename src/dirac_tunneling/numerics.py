@@ -1,7 +1,8 @@
 """Small numerical utilities shared across the package.
 
 Nothing here knows about barriers or spinors: branch-continued phases,
-an adaptive Simpson quadrature and a golden-section minimizer.  They are
+an adaptive Simpson quadrature, a golden-section minimizer and
+`_LastPoint`, the one memo of the last one-point call.  They are
 array-native where it pays: the quadrature takes array integrands and
 refines all its panels level by level, one integrand call per level; the
 minimizer steps arrays of brackets in lock-step, one objective call per
@@ -15,6 +16,7 @@ applies it one value at a time.
 from __future__ import annotations
 
 import math
+import struct
 from typing import Callable, Sequence
 
 import numpy as np
@@ -185,3 +187,34 @@ def golden_section_min(
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     mid = 0.5 * (a + b)
     return float(mid) if mid.ndim == 0 else mid
+
+
+_FIVE_DOUBLES = struct.Struct("5d")
+
+
+class _LastPoint:
+    """The value of the last one-point call, handed to the next call at the same point.
+
+    ``memo(compute, *point)`` is ``compute(*point)``.  If the point is five
+    float scalars, the value is kept under their bits (+0.0 and -0.0
+    differ), once ``compute`` has returned, and the next call at the same
+    bits returns it without calling ``compute``.  Any other point (arrays,
+    0-d arrays, ints) neither reads nor replaces it.  The (key, value) pair
+    is read and replaced as one tuple, so threads need no lock.
+    """
+
+    __slots__ = ("_kept",)
+
+    def __init__(self):
+        self._kept = (None, None)
+
+    def __call__(self, compute, *point):
+        for x in point:
+            if not isinstance(x, float):
+                return compute(*point)
+        key = _FIVE_DOUBLES.pack(*point)
+        kept_key, value = self._kept
+        if kept_key != key:
+            value = compute(*point)
+            self._kept = (key, value)
+        return value

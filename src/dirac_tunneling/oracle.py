@@ -11,6 +11,14 @@ evaluated on arrays and refined level by level.  The one-point functions
 are views of these array paths.  Tests compare the closed forms against
 these routines, so the two layers must share as little code as possible.
 
+A one-point call always solves with the derivative, [b | M' | b'], and
+keeps (x, x', q) for the next one-point call at the same float inputs,
+bit for bit (`numerics._LastPoint`): `tm_solve`, `numeric_phase_time`,
+`dwell_integral`, `flux_profile` and `transfer_relation` at one point
+share one solve.  Only the last point is kept, once validated; array
+calls neither read nor replace it.  x comes out bit for bit as without
+the derivative columns, and nothing about this is configurable.
+
 The linear system is assembled in rescaled unknowns: every evanescent
 coefficient is multiplied by the exponential factor that makes it O(1)
 (for example B, the growing-mode coefficient of the first barrier, enters
@@ -30,7 +38,7 @@ import numpy as np
 
 from .amplitudes import RegionCoefficients
 from .kinematics import BarrierSystem, KinematicPoint, _validate, kinematic_point
-from .numerics import adaptive_simpson
+from .numerics import _LastPoint, adaptive_simpson
 
 __all__ = [
     "FieldSample",
@@ -150,6 +158,13 @@ def _tm_rescaled(E, V0, a, l, mass: float = 1.0, derivative: bool = False):
     return x, dx.transpose(lead), q
 
 
+def _unscaled(x, q, a, l):
+    """The region coefficients (A, B, C, D, F, G, T, R) from the rescaled unknowns ``x``."""
+    e2, e1 = np.exp(-2.0 * q * a), np.exp(-q * a)
+    return (x[1], x[2] * e2, x[3] * e1, x[4] * e1, x[5] * np.exp(q * l),
+            x[6] * np.exp(-q * (2.0 * a + l)) * e2, x[7] * e2, x[0])
+
+
 def _tm_stack(E, V0, a, l, mass: float = 1.0) -> RegionCoefficients:
     """Region coefficients of broadcast (E, V0, a, l), each field an array.
 
@@ -157,21 +172,33 @@ def _tm_stack(E, V0, a, l, mass: float = 1.0) -> RegionCoefficients:
     """
     _validate(E, V0, a, l, mass)
     x, _, q = _tm_rescaled(E, V0, a, l, mass)
-    e2, e1 = np.exp(-2.0 * q * a), np.exp(-q * a)
-    return RegionCoefficients(
-        A=x[1], B=x[2] * e2, C=x[3] * e1, D=x[4] * e1, F=x[5] * np.exp(q * l),
-        G=x[6] * np.exp(-q * (2.0 * a + l)) * e2, T=x[7] * e2, R=x[0],
-    )
+    return RegionCoefficients(*_unscaled(x, q, a, l))
+
+
+_last_solve = _LastPoint()
+
+
+def _solve_point(E, V0, a, l, mass):
+    """(x, x', q) of one validated point; its arrays are read-only, as they are kept."""
+    _validate(E, V0, a, l, mass)
+    x, dx, q = _tm_rescaled(E, V0, a, l, mass, derivative=True)
+    x.flags.writeable = dx.flags.writeable = False
+    return x, dx, q
+
+
+def _tm_point(E: float, system: BarrierSystem):
+    """(x, x', q) at one point, the kept solve every one-point function reads."""
+    return _last_solve(_solve_point, E, system.V0, system.a, system.l, system.mass)
 
 
 def tm_solve(E: float, system: BarrierSystem) -> RegionCoefficients:
-    """All region coefficients at one point: the one-point view of the stacked solve.
+    """All region coefficients at one point, from the point's kept solve (`_tm_point`).
 
     The eight continuity equations in rescaled unknowns, solved with
     LAPACK; no closed amplitude formulas are involved.
     """
-    sol = _tm_stack(E, system.V0, system.a, system.l, system.mass)
-    return RegionCoefficients(**{f: complex(v) for f, v in vars(sol).items()})
+    x, _, q = _tm_point(E, system)
+    return RegionCoefficients(*map(complex, _unscaled(x, q, system.a, system.l)))
 
 
 def single_barrier_amplitudes(
@@ -201,24 +228,31 @@ def single_barrier_amplitudes(
     return complex(x[3]) * math.exp(-q * width), complex(x[0])
 
 
+def _phase_time(E, a, l, mass, x, dx):
+    """tau_p = d/dE [arg T + k(2a+l)] = Im(x7'/x7) + (E/k)(2a+l), from a solve with its derivative.
+
+    x7 = T e^{2qa}: the scaling is real and positive, so it leaves the phase alone.
+    """
+    return (dx[7] / x[7]).imag + E / np.sqrt((E - mass) * (E + mass)) * (2.0 * a + l)
+
+
 def _phase_time_stack(E, V0, a, l, mass: float = 1.0) -> np.ndarray:
     """Phase time of broadcast valid points from the derivative of the linear solve.
 
-    tau_p = d/dE [arg T + k(2a+l)] = Im(x7'/x7) + (E/k)(2a+l), with x7 =
-    T e^{2qa} and x' solved exactly with x (`_tm_rescaled`): the scaling
-    is real and positive, so it leaves the phase alone.  No step size.
+    x' is solved exactly with x (`_tm_rescaled`), so there is no step size.
     """
     _validate(E, V0, a, l, mass)
     x, dx, _ = _tm_rescaled(E, V0, a, l, mass, derivative=True)
-    return (dx[7] / x[7]).imag + E / np.sqrt((E - mass) * (E + mass)) * (2.0 * a + l)
+    return _phase_time(E, a, l, mass, x, dx)
 
 
 def numeric_phase_time(E: float, system: BarrierSystem) -> float:
     """Phase time from the exact E-derivative of the linear solve.
 
-    The one-point view of `_phase_time_stack`.
+    The one-point view of `_phase_time_stack`, on the point's kept solve.
     """
-    return float(_phase_time_stack(E, system.V0, system.a, system.l, system.mass))
+    x, dx, _ = _tm_point(E, system)
+    return float(_phase_time(E, system.a, system.l, system.mass, x, dx))
 
 
 def _wavefunction(kp: KinematicPoint, system: BarrierSystem, coeffs: RegionCoefficients):

@@ -27,6 +27,13 @@ a budget of their own at q -> 0, where alpha'/alpha grows like 1/q^2 and
 the terms of the derivative cancel: there they lose up to 2.7e-12,
 elsewhere at most 6e-14.  The nonrelativistic grid also holds a point
 where a Richardson stencil of step 1e-6 E_kin missed by 1.8e-5.
+
+A sixth kind, opaque near-resonance, holds three fixed points at qa of
+11 to 19 where Gamma, Delta and beta are O(e^{-2qa}) differences of O(1)
+terms and the closed forms lose far more than on the grid (ROADMAP item
+6).  Each point has budgets of its own, 4 times its measured errors, so
+a change that loses more there shows, and one that mends it can tighten
+them.
 """
 
 import math
@@ -56,6 +63,19 @@ BUDGET = {
     "tau_p_nr": 4 * 3.89e-14,  # relative, all kinds but q -> 0
     "tau_p_nr_q_edge": 4 * 2.65e-12,  # relative, q -> 0
 }
+
+# Opaque near-resonance points, with budgets 4 times the worst error of the scalar and
+# bulk paths: tau_p relative, tau_i in units of m/k^2, |T|^2 relative.
+_OPAQUE_RESONANCE = (
+    # perfbench's DEFECT_A: qa = 18.8, |T|^2 = 4.3e-20
+    ((2.137018249255177, 2.542349811539691, 20.59490816541399, 1.2681584571234454),
+     {"tau_p": 4 * 2.41e-6, "tau_i": 4 * 2.70e-13, "magT2": 4 * 1.22e-12}),
+    # the two points where |T|^2 + |R|^2 - 1 reached 4.6e-12 and 2.5e-12 (ROADMAP item 1)
+    ((2.7711344075752153, 3.3953543690797363, 15.596609746245413, 7.047141578441659),
+     {"tau_p": 4 * 1.66e-9, "tau_i": 4 * 2.34e-12, "magT2": 4 * 7.78e-11}),
+    ((1.803690857795717, 2.3318253741528423, 13.376005562916893, 7.986158490074246),
+     {"tau_p": 4 * 8.41e-10, "tau_i": 4 * 1.84e-12, "magT2": 4 * 9.34e-11}),
+)
 
 _PER_KIND = 8
 _NORMAL_MIN = 2.2250738585072014e-308
@@ -211,3 +231,22 @@ def test_nonrelativistic_phase_time_within_budget():
     for tau_p in (scalar, _bulk_nr_phase_time(*_NR_COLUMNS)):
         err = np.abs(tau_p - ref) / np.abs(ref)
         _within_budget({"tau_p_nr": err[~_NR_Q_EDGE], "tau_p_nr_q_edge": err[_NR_Q_EDGE]})
+
+
+@pytest.mark.parametrize("point, budget", _OPAQUE_RESONANCE, ids=["defect_a", "item1_a", "item1_b"])
+def test_opaque_near_resonance_within_budget(point, budget):
+    E, V0, a, l = point
+    tau_p_ref, tau_i_ref, magT2_ref = _reference(*point)
+    system = BarrierSystem(V0=V0, a=a, l=l)
+    report, sol = time_report(E, system), scattering_solution(E, system)
+    times, amp = _bulk_times(*point), bulk_amplitudes(*point)
+    for tau_p, tau_i, magT2, magR2 in ((report.tau_p, report.tau_i, sol.magT2, sol.magR2),
+                                       (times["tau_p"], times["tau_i"], amp["magT2"], amp["magR2"])):
+        errors = {
+            "tau_p": abs(tau_p - tau_p_ref) / abs(tau_p_ref),
+            "tau_i": abs(tau_i - tau_i_ref) * ((E - 1.0) * (E + 1.0)),
+            "magT2": abs(magT2 - magT2_ref) / magT2_ref,
+        }
+        over = {key: float(err) for key, err in errors.items() if not err <= budget[key]}
+        assert not over, f"over budget {budget}: {over}"
+        assert abs(magT2 + magR2 - 1.0) <= BUDGET["unitarity"]

@@ -1,6 +1,7 @@
 """Closed-form scattering amplitudes: exact limits, scaling laws, unitarity."""
 
 import cmath
+import gc
 import math
 
 import numpy as np
@@ -17,7 +18,18 @@ from dirac_tunneling import (
     transmission,
     transmission_phase,
 )
-from dirac_tunneling.amplitudes import _prepare
+from dirac_tunneling.amplitudes import _ClosedForm, _prepare
+from dirac_tunneling.kinematics import RegimeError
+from dirac_tunneling.oracle import random_evanescent_grid
+from dirac_tunneling.times import (
+    _bulk_times,
+    appendix_terms,
+    dwell_time,
+    free_transit_time,
+    nonrelativistic_times,
+    phase_time_closed,
+    time_report,
+)
 from dirac_tunneling.numerics import continue_branch
 
 SYS_2A = BarrierSystem(V0=1.5, a=0.7, l=0.7)
@@ -244,3 +256,87 @@ def test_region_coefficients_interface_continuity(a, l):
         scale = max(abs(ul), abs(ll), 1e-30)
         assert abs(ul - ur) < 1e-10 * scale
         assert abs(ll - lr) < 1e-10 * scale
+
+
+# One-point calls at the float inputs of the previous one reuse its record.
+_ONE_POINT_VIEWS = (time_report, scattering_solution, phase_time_closed, dwell_time,
+                    region_coefficients, appendix_terms, free_transit_time)
+_ELSEWHERE = (2.5, 2.0, 1.1, 0.3)
+
+
+def _memo_points():
+    g = random_evanescent_grid(6, seed=13, a_max=8.0)
+    return list(zip(*(g[key].tolist() for key in ("E", "V0", "a", "l")))) + [(1.8, 1.5, 0.7, 0.7)]
+
+
+def _cold(view, E, V0, a, l):
+    # repr tells every float apart bit for bit, -0.0 from 0.0 too.
+    phase_time_closed(_ELSEWHERE[0], BarrierSystem(*_ELSEWHERE[1:]))
+    return repr(view(E, BarrierSystem(V0=V0, a=a, l=l)))
+
+
+@pytest.mark.parametrize("E, V0, a, l", _memo_points())
+def test_one_point_views_bit_identical_cold_and_after_any_view(E, V0, a, l):
+    cold = {view: _cold(view, E, V0, a, l) for view in _ONE_POINT_VIEWS}
+    for first in _ONE_POINT_VIEWS:
+        for view in _ONE_POINT_VIEWS:
+            _cold(first, E, V0, a, l)
+            assert repr(view(E, BarrierSystem(V0=V0, a=a, l=l))) == cold[view], (first, view)
+
+
+@pytest.mark.parametrize("zero", ["a", "l"])
+def test_signed_zero_widths_are_different_points(zero):
+    systems = [BarrierSystem(**{"V0": 1.5, "a": 0.7, "l": 0.7, zero: sign}) for sign in (0.0, -0.0)]
+    plus, minus = (_prepare(1.8, s.V0, s.a, s.l, s.mass) for s in systems)
+    assert minus is not plus
+    assert math.copysign(1.0, getattr(minus, zero)) == -1.0
+    for system in systems:
+        for view in _ONE_POINT_VIEWS:
+            assert repr(view(1.8, system)) == _cold(view, 1.8, system.V0, system.a, system.l)
+
+
+def test_invalid_point_raises_after_a_kept_point():
+    time_report(1.8, SYS_2A)
+    with pytest.raises(RegimeError):
+        time_report(2.6, SYS_2A)
+    with pytest.raises(ValueError, match="finite"):
+        scattering_solution(math.nan, SYS_2A)
+    with pytest.raises(ValueError, match="finite"):
+        _prepare(1.8, 1.5, math.inf, 0.7, 1.0)
+    assert _prepare(1.8, 1.5, 0.7, 0.7, 1.0) is _prepare(1.8, 1.5, 0.7, 0.7, 1.0)
+
+
+def test_array_calls_neither_read_nor_replace_the_kept_record():
+    kept = _prepare(1.8, 1.5, 0.7, 0.7, 1.0)
+    point = [np.asarray(x) for x in (1.8, 1.5, 0.7, 0.7)]
+    assert _prepare(*point, 1.0) is not kept
+    assert _prepare(*(x.reshape(1) for x in point), 1.0) is not kept
+    _prepare(np.asarray(2.5), 2.0, 1.1, 0.3, 1.0)
+    bulk_amplitudes(*point)
+    _bulk_times(*point)
+    nonrelativistic_times(0.8, SYS_2A)
+    assert _prepare(1.8, 1.5, 0.7, 0.7, 1.0) is kept
+
+
+def test_threads_at_different_points_get_their_own_answers(run_threads):
+    points = _memo_points()[:4]
+    cold = [(_cold(time_report, *p), _cold(scattering_solution, *p)) for p in points]
+    wrong = []
+
+    def work(i):
+        E, V0, a, l = points[i]
+        for _ in range(300):
+            got = (repr(time_report(E, BarrierSystem(V0=V0, a=a, l=l))),
+                   repr(scattering_solution(E, BarrierSystem(V0=V0, a=a, l=l))))
+            if got != cold[i]:
+                wrong.append(i)
+
+    run_threads(work, len(points))
+    assert wrong == []
+
+
+def test_distinct_points_keep_at_most_one_record():
+    for i in range(10**4):
+        phase_time_closed(1.8 + 1e-6 * i, SYS_2A)
+    gc.collect()
+    assert sum(isinstance(obj, _ClosedForm) for obj in gc.get_objects()) <= 1

@@ -1,4 +1,4 @@
-"""Branch tracking, quadrature, and minimization utilities."""
+"""Branch tracking, quadrature, minimization and the last-point memo."""
 
 import math
 
@@ -7,6 +7,7 @@ import pytest
 
 from dirac_tunneling.numerics import (
     PhaseTracker,
+    _LastPoint,
     adaptive_simpson,
     continue_branch,
     golden_section_min,
@@ -207,3 +208,30 @@ def test_golden_section_min_return_types():
     out = golden_section_min(_wavy, np.array([0.0]), np.array([2.0]))
     assert isinstance(out, np.ndarray) and out.shape == (1,)
     assert golden_section_min(_wavy, np.array([]), np.array([])).shape == (0,)
+
+
+def test_last_point_keeps_one_value_keyed_on_float_bits():
+    calls = []
+
+    def compute(*point):
+        calls.append(point)
+        if point[0] < 0.0:
+            raise ValueError("bad point")
+        return object()
+
+    memo = _LastPoint()
+    kept = memo(compute, 1.0, 2.0, 0.0, 3.0, 1.0)
+    assert memo(compute, 1.0, 2.0, 0.0, 3.0, np.float64(1.0)) is kept
+    assert len(calls) == 1
+    # Other inputs neither read nor replace the kept pair; a raising call keeps nothing.
+    assert memo(compute, 1.0, 2.0, 0.0, 3.0, np.asarray(1.0)) is not kept
+    assert memo(compute, 1, 2.0, 0.0, 3.0, 1.0) is not kept
+    with pytest.raises(ValueError):
+        memo(compute, -1.0, 2.0, 0.0, 3.0, 1.0)
+    assert memo(compute, 1.0, 2.0, 0.0, 3.0, 1.0) is kept
+    # -0.0 is another point, and it replaces the pair.
+    minus = memo(compute, 1.0, 2.0, -0.0, 3.0, 1.0)
+    assert minus is not kept
+    assert memo(compute, 1.0, 2.0, -0.0, 3.0, 1.0) is minus
+    assert memo(compute, 1.0, 2.0, 0.0, 3.0, 1.0) is not kept
+    assert len(calls) == 6

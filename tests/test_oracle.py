@@ -25,6 +25,7 @@ from dirac_tunneling.kinematics import RegimeError
 from dirac_tunneling.oracle import (
     _dwell_integral_detail,
     _phase_time_stack,
+    _tm_point,
     _tm_rescaled,
     _tm_stack,
     default_flux_samples,
@@ -305,3 +306,79 @@ def test_resonant_interference_delay_vanishes():
     assert absR < 1e-6
     assert abs(self_interference_delay(1.8, s)) < 1e-6 * tau_p
     assert dwell_integral(1.8, s) == pytest.approx(tau_p, rel=1e-6)
+
+
+# One-point oracle calls at the float inputs of the previous one reuse its solve.
+def _flux(E, system):
+    return flux_profile(E, system, default_flux_samples(system, per_region=3))
+
+
+_ONE_POINT_VIEWS = (tm_solve, numeric_phase_time, dwell_integral, _flux, transfer_relation)
+_ELSEWHERE = (2.5, BarrierSystem(V0=2.0, a=1.1, l=0.3))
+
+
+def _memo_points():
+    g = random_evanescent_grid(4, seed=17, a_max=6.0)
+    return list(zip(*(g[key].tolist() for key in ("E", "V0", "a", "l")))) + [(1.8, 1.5, 0.7, 0.7)]
+
+
+def _cold(view, E, V0, a, l):
+    # repr tells every float apart bit for bit, -0.0 from 0.0 too.
+    tm_solve(*_ELSEWHERE)
+    return repr(view(E, BarrierSystem(V0=V0, a=a, l=l)))
+
+
+@pytest.mark.parametrize("E, V0, a, l", _memo_points())
+def test_one_point_oracle_views_bit_identical_cold_and_after_any_view(E, V0, a, l):
+    cold = {view: _cold(view, E, V0, a, l) for view in _ONE_POINT_VIEWS}
+    for first in _ONE_POINT_VIEWS:
+        for view in _ONE_POINT_VIEWS:
+            _cold(first, E, V0, a, l)
+            assert repr(view(E, BarrierSystem(V0=V0, a=a, l=l))) == cold[view], (first, view)
+
+
+@pytest.mark.parametrize("zero", ["a", "l"])
+def test_signed_zero_widths_are_different_oracle_points(zero):
+    systems = [BarrierSystem(**{"V0": 1.5, "a": 0.7, "l": 0.7, zero: sign}) for sign in (0.0, -0.0)]
+    plus, minus = (_tm_point(1.8, s) for s in systems)
+    assert minus is not plus
+    for system in systems:
+        for view in _ONE_POINT_VIEWS:
+            assert repr(view(1.8, system)) == _cold(view, 1.8, system.V0, system.a, system.l)
+
+
+def test_invalid_point_raises_after_a_kept_solve():
+    kept = _tm_point(1.8, SYS_2A)
+    with pytest.raises(RegimeError):
+        tm_solve(2.6, SYS_2A)
+    with pytest.raises(ValueError, match="finite"):
+        numeric_phase_time(math.nan, SYS_2A)
+    assert _tm_point(1.8, SYS_2A) is kept
+
+
+def test_kept_solve_is_read_only_and_array_calls_leave_it():
+    kept = _tm_point(1.8, SYS_2A)
+    x, dx, _ = kept
+    assert not x.flags.writeable and not dx.flags.writeable
+    point = [np.asarray(v) for v in (1.8, 1.5, 0.7, 0.7)]
+    _tm_stack(*point)
+    _phase_time_stack(*(v.reshape(1) for v in point))
+    tm_solve(np.asarray(2.5), BarrierSystem(V0=2.0, a=1.1, l=0.3))
+    assert _tm_point(1.8, SYS_2A) is kept
+
+
+def test_oracle_threads_at_different_points_get_their_own_answers(run_threads):
+    points = _memo_points()
+    cold = [(_cold(tm_solve, *p), _cold(numeric_phase_time, *p)) for p in points]
+    wrong = []
+
+    def work(i):
+        E, V0, a, l = points[i]
+        for _ in range(200):
+            got = (repr(tm_solve(E, BarrierSystem(V0=V0, a=a, l=l))),
+                   repr(numeric_phase_time(E, BarrierSystem(V0=V0, a=a, l=l))))
+            if got != cold[i]:
+                wrong.append(i)
+
+    run_threads(work, len(points))
+    assert wrong == []

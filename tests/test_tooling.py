@@ -1,5 +1,6 @@
 """Repository tooling: the demos run, the oracle stays independent of the closed forms,
-each CLI key is declared once, and no public numerics helper is dead."""
+each CLI key is declared once, no public numerics helper is dead, and the one-point
+memo is the only cache kept across calls."""
 
 import argparse
 import ast
@@ -105,3 +106,25 @@ def test_no_environment_knob_and_one_thread_pool():
             if name == "ThreadPoolExecutor":
                 pools.append(path.name)
     assert pools == ["amplitudes.py"]
+
+
+def test_one_memo_and_no_other_cache_across_calls():
+    # Values kept across calls live in the block pool and in numerics._LastPoint, one
+    # instance per layer, which keeps its pair on itself: only the pool's functions
+    # rebind a module global, and a functools cache only builds a constant once (it
+    # takes no argument, so it cannot grow).
+    rebinds = []
+    for path in sorted((ROOT / "src" / "dirac_tunneling").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(isinstance(inner, ast.Global) for inner in ast.walk(node)):
+                rebinds.append((path.name, node.name))
+            for deco in node.decorator_list:
+                deco = deco.func if isinstance(deco, ast.Call) else deco
+                name = deco.attr if isinstance(deco, ast.Attribute) else getattr(deco, "id", None)
+                if name in ("cache", "lru_cache"):
+                    assert not (node.args.args or node.args.vararg or node.args.kwonlyargs
+                                or node.args.kwarg), (path.name, node.name)
+    assert set(rebinds) <= {("amplitudes.py", "_executor"), ("amplitudes.py", "_forget_pool")}
+    assert _calls("_LastPoint") == ["amplitudes.py", "oracle.py"]
