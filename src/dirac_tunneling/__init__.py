@@ -19,7 +19,7 @@ from .kinematics import (
     kinematic_point,
     wavenumber_k,
 )
-from .numerics import PhaseTracker, adaptive_simpson, continue_branch, golden_section_min
+from .numerics import PhaseTracker, adaptive_gauss_kronrod, continue_branch, golden_section_min
 from .amplitudes import (
     RegionCoefficients,
     ScatteringSolution,
@@ -86,7 +86,7 @@ __all__ = [
     "SweepDataset",
     "SweepSpec",
     "TimeReport",
-    "adaptive_simpson",
+    "adaptive_gauss_kronrod",
     "alpha",
     "appendix_terms",
     "bulk_amplitudes",

@@ -38,7 +38,7 @@ import numpy as np
 
 from .amplitudes import RegionCoefficients
 from .kinematics import BarrierSystem, KinematicPoint, _validate, kinematic_point
-from .numerics import _LastPoint, adaptive_simpson
+from .numerics import _LastPoint, adaptive_gauss_kronrod
 
 __all__ = [
     "FieldSample",
@@ -286,18 +286,19 @@ def _wavefunction(kp: KinematicPoint, system: BarrierSystem, coeffs: RegionCoeff
 def _dwell_integral_detail(
     E: float, system: BarrierSystem, rtol: float = 1e-9
 ) -> tuple[float, float]:
-    """(dwell time, quadrature error estimate) from one adaptive Simpson run.
+    """(dwell time, quadrature error estimate) from one adaptive Gauss-Kronrod run.
 
-    Gap panels start no wider than pi/(2k), half a period of the density
-    there: wider ones can alias its oscillation onto the Simpson samples
-    and be accepted with a wrong value.  Barrier panels start no wider
-    than 1/(4q), so the e^{+-2qz} density there needs few levels.
+    The density is analytic on every panel: e^{+-2qz} terms in the
+    barriers, cos(2kz + phi) plus a constant in the gap.  Barrier panels
+    start no wider than 1/q and gap panels no wider than pi/k, one period
+    of the gap density, so the 15-point rule resolves each in one or two
+    levels.
     """
     kp = kinematic_point(E, system)
     coeffs = tm_solve(E, system)
     a, s = system.a, system.a + system.l
-    n_barrier = math.ceil(4.0 * kp.q * a)
-    pieces = ((0.0, a, n_barrier), (a, s, math.ceil(2.0 * kp.k * system.l / math.pi)),
+    n_barrier = math.ceil(kp.q * a)
+    pieces = ((0.0, a, n_barrier), (a, s, math.ceil(kp.k * system.l / math.pi)),
               (s, system.span, n_barrier))
     breaks = np.concatenate(
         [lo + (hi - lo) / n * np.arange(n) for lo, hi, n in pieces if n > 0] + [[system.span]]
@@ -308,7 +309,7 @@ def _dwell_integral_detail(
         p1, p3 = psi(z)
         return np.abs(p1) ** 2 + np.abs(p3) ** 2
 
-    total, err = adaptive_simpson(density, breaks[:-1], breaks[1:], rtol=rtol)
+    total, err = adaptive_gauss_kronrod(density, breaks[:-1], breaks[1:], rtol=rtol)
     j_inc = 2.0 * kp.k / (E + system.mass)
     return total / j_inc, err / j_inc
 
@@ -317,9 +318,9 @@ def dwell_integral(E: float, system: BarrierSystem) -> float:
     """Dwell time as integrated probability density over incident flux.
 
     Integrates psi^dag psi over the potential arrangement 0 < z < 2a+l
-    (both barriers and the gap) by adaptive Simpson quadrature split at
-    the interior interfaces, then divides by the incident flux
-    J_inc = 2k/(E+m).
+    (both barriers and the gap) by adaptive Gauss-Kronrod quadrature on
+    panels split at the interior interfaces, then divides by the incident
+    flux J_inc = 2k/(E+m).
     """
     value, err = _dwell_integral_detail(E, system)
     if err > 1e-7 * max(abs(value), 1e-300):

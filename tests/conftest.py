@@ -3,7 +3,6 @@
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from dirac_tunneling import figure_datasets
@@ -41,8 +40,3 @@ def run_threads():
         assert not any(thread.is_alive() for thread in threads)
 
     return run
-
-
-def rel_dev(x, ref):
-    """Elementwise |x - ref| / |ref|, tolerating array input."""
-    return np.abs(np.asarray(x) - np.asarray(ref)) / np.abs(np.asarray(ref))

@@ -28,6 +28,12 @@ the terms of the derivative cancel: there they lose up to 2.7e-12,
 elsewhere at most 6e-14.  The nonrelativistic grid also holds a point
 where a Richardson stencil of step 1e-6 E_kin missed by 1.8e-5.
 
+The oracle's quadrature dwell time `dwell_integral` has a budget per
+kind against the reference tau_p - tau_i, 4 times its worst relative
+error there.  At k -> 0 and near a resonance the oracle's linear solve,
+not the quadrature, sets the error (1.3e-9 and 6.7e-10); elsewhere it is
+at most 1.2e-13.
+
 A sixth kind, opaque near-resonance, holds three fixed points at qa of
 11 to 19 where Gamma, Delta and beta are O(e^{-2qa}) differences of O(1)
 terms and the closed forms lose far more than on the grid (ROADMAP item
@@ -43,6 +49,7 @@ import pytest
 
 from dirac_tunneling import BarrierSystem, scattering_solution, time_report
 from dirac_tunneling.amplitudes import bulk_amplitudes
+from dirac_tunneling.oracle import dwell_integral
 from dirac_tunneling.times import _bulk_nr_phase_time, _bulk_times, nonrelativistic_times
 
 mp = pytest.importorskip("mpmath")
@@ -62,6 +69,15 @@ BUDGET = {
     "unitarity": 4 * 1.11e-16,  # |T|^2 + |R|^2 - 1; 0 on this grid
     "tau_p_nr": 4 * 3.89e-14,  # relative, all kinds but q -> 0
     "tau_p_nr_q_edge": 4 * 2.65e-12,  # relative, q -> 0
+}
+
+# 4 times the worst relative error of dwell_integral against tau_p - tau_i, per kind.
+DWELL_BUDGET = {
+    "plain": 4 * 1.48e-15,
+    "q_edge": 4 * 1.19e-13,
+    "k_edge": 4 * 1.27e-9,
+    "resonance": 4 * 6.72e-10,
+    "opaque": 4 * 8.22e-16,
 }
 
 # Opaque near-resonance points, with budgets 4 times the worst error of the scalar and
@@ -222,6 +238,16 @@ def test_scalar_paths_within_budget(reference):
 def test_bulk_paths_within_budget(reference):
     times, amp = _bulk_times(*_COLUMNS), bulk_amplitudes(*_COLUMNS)
     _within_budget(_errors(reference, times["tau_p"], times["tau_i"], amp["magT2"], amp["magR2"]))
+
+
+def test_dwell_integral_within_budget(reference):
+    tau_d = reference[:, 0] - reference[:, 1]
+    got = np.array([dwell_integral(E, BarrierSystem(V0=V0, a=a, l=l))
+                    for E, V0, a, l in zip(*(column.tolist() for column in _COLUMNS))])
+    err = np.abs(got - tau_d) / np.abs(tau_d)
+    worst = {kind: float(err[_KIND == kind].max()) for kind in DWELL_BUDGET}
+    over = {kind: value for kind, value in worst.items() if not value <= DWELL_BUDGET[kind]}
+    assert not over, f"over budget {DWELL_BUDGET}: {over}"
 
 
 def test_nonrelativistic_phase_time_within_budget():

@@ -134,9 +134,11 @@ def test_dwell_integral_matches_closed(E, V0, a, l):
     assert dwell_integral(E, s) == pytest.approx(dwell_time(E, s), rel=1e-7)
 
 
-# Points where k l / pi sits near a multiple of 4: one Simpson panel across the whole
-# gap samples the density's oscillation at the same phase five times, so a quadrature
+# Points where k l / pi sits near a multiple of 4: Simpson's five samples of one panel
+# across the whole gap met the density's oscillation at the same phase, so a quadrature
 # starting from the interfaces alone accepted it at depth 0 and missed by up to 10%.
+# The 15-node Gauss-Kronrod rule resolves them even from one gap panel; they stay as a
+# guard on the gap's starting panels and on the rule's acceptance test.
 ALIASING_POINTS = [
     (2.764813258117634, 2.5892134431490312, 6.851029872745196, 9.743186231730236),
     (1.8643854937233861, 1.5885333850873093, 1.2644924460698288, 7.976935759519555),

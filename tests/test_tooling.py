@@ -1,6 +1,6 @@
 """Repository tooling: the demos run, the oracle stays independent of the closed forms,
-each CLI key is declared once, no public numerics helper is dead, and the one-point
-memo is the only cache kept across calls."""
+each CLI key is declared once, no public numerics helper is dead, every package export
+resolves, and the one-point memo is the only cache kept across calls."""
 
 import argparse
 import ast
@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import dirac_tunneling
 from dirac_tunneling import cli, numerics
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -79,6 +80,12 @@ def test_every_numerics_helper_has_a_package_user():
             if isinstance(node, ast.ImportFrom) and (node.module or "").rsplit(".", 1)[-1] == "numerics":
                 imported |= {alias.name for alias in node.names}
     assert set(numerics.__all__) <= imported, set(numerics.__all__) - imported
+
+
+def test_every_package_export_resolves():
+    # A name left in __all__ after its import was removed breaks `from dirac_tunneling import *`.
+    missing = [name for name in dirac_tunneling.__all__ if not hasattr(dirac_tunneling, name)]
+    assert not missing, missing
 
 
 def test_each_cli_key_is_declared_once():
