@@ -170,31 +170,50 @@ class _computed_once(cached_property):
 class _ClosedForm:
     """The closed solution at one point or over a grid: every formula, once.
 
-    Holds the validated inputs (E, V0, a, l, mass), the span 2a + l, the
+    Eager: the validated inputs (E, V0, a, l, mass), the span 2a + l, the
     extended-precision k, q, alpha and their energy slopes ``dk`` = k',
-    ``dq`` = q', ``dlog_alpha`` = alpha'/alpha, the rescaled Gamma and
-    Delta (``gam``, ``dlt``), the hyperbolics and the sines of kl.
-    Everything else is computed on first use.  Each quantity keeps the
-    shape of the inputs it depends on.  Real quantities stay in extended
-    precision; U, T and R are complex128.
+    ``dq`` = q', ``dlog_alpha`` = alpha'/alpha, ``al2`` = alpha^2,
+    ``one_al2`` = 1 + alpha^2, the hyperbolics, kl and sin kl.  Everything
+    else is computed on first use: the rescaled Gamma and Delta (``gam``,
+    ``dlt``) with sin 2kl, the cosines, beta_hat and the amplitudes, so
+    |R|^2 alone reads neither Gamma, Delta nor sin 2kl.  Each quantity
+    keeps the shape of the inputs it depends on.  Real quantities stay in
+    extended precision; U, T and R are complex128.
     """
 
     def __init__(self, E, V0, a, l, mass, k, q, alpha, dk, dq, dlog_alpha):
         self.E, self.V0, self.a, self.l, self.mass = E, V0, a, l, mass
         self.k, self.q, self.alpha = k, q, alpha
         self.dk, self.dq, self.dlog_alpha = dk, dq, dlog_alpha
+        self.al2 = al2 = alpha * alpha
+        self.one_al2 = 1.0 + al2
         self.span = 2.0 * a + l
-        self.hyp = hyp = _hyperbolics(q, a)
-        self.kl = kl = k * l
-        al2 = alpha * alpha
-        one = 1.0 + al2
-        self.sin_kl = sin_kl = np.sin(kl)
-        self.sin_2kl = sin_2kl = np.sin(2.0 * kl)
-        # Gamma e^{-2qa} and Delta e^{-2qa}
-        self.gam = 8.0 * al2 * hyp.c2 - 4.0 * one * one * sin_kl * sin_kl * hyp.s1sq
-        self.dlt = 4.0 * alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * sin_2kl * hyp.s1sq
+        self.hyp = _hyperbolics(q, a)
+        self.kl = k * l
+        self.sin_kl = np.sin(self.kl)
 
-    # On first use only: the NR phase reads neither cosine, the phase time only cos 2kl.
+    # On first use only: |R|^2 reads neither Gamma, Delta nor sin 2kl; of the cosines
+    # the NR phase reads neither, the phase time only cos 2kl.  Every reader of Gamma,
+    # Delta or sin 2kl reads all three, so the first read of any computes all three:
+    # three separate first reads cost a one-point call about 2 us more (2-vCPU x86-64).
+    @_computed_once
+    def gam(self):
+        """Gamma e^{-2qa}; sets Delta e^{-2qa} (``dlt``) and ``sin_2kl`` on the way."""
+        al2, one, hyp, sin_kl = self.al2, self.one_al2, self.hyp, self.sin_kl
+        self.sin_2kl = sin_2kl = np.sin(2.0 * self.kl)
+        self.dlt = 4.0 * self.alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * sin_2kl * hyp.s1sq
+        return 8.0 * al2 * hyp.c2 - 4.0 * one * one * sin_kl * sin_kl * hyp.s1sq
+
+    @_computed_once
+    def dlt(self):
+        self.gam
+        return self.dlt
+
+    @_computed_once
+    def sin_2kl(self):
+        self.gam
+        return self.sin_2kl
+
     @_computed_once
     def cos_kl(self):
         return np.cos(self.kl)
@@ -206,8 +225,8 @@ class _ClosedForm:
     @_computed_once
     def beta_hat(self):
         """beta e^{-2qa}, the real ratio with R = beta_hat e^{i[k(2a+l)-pi/2]} U."""
-        al2 = self.alpha * self.alpha
-        return ((1.0 + al2) / self.alpha) * (
+        al2 = self.al2
+        return (self.one_al2 / self.alpha) * (
             0.5 * self.cos_kl * self.hyp.s2
             + ((1.0 - al2) / (2.0 * self.alpha)) * self.sin_kl * self.hyp.s1sq
         )
@@ -220,7 +239,7 @@ class _ClosedForm:
         values are accurate to ~1e-18 relative, so the rounding costs one ulp
         even where the doubles-only evaluation would lose digits.
         """
-        al2 = np.float64(self.alpha * self.alpha)
+        al2 = np.float64(self.al2)
         gam, dlt = np.float64(self.gam), np.float64(self.dlt)
         ka = np.float64(self.k * self.a)
         return 8.0 * al2 * np.exp(-2.0j * ka) / (gam + 1.0j * dlt)

@@ -406,7 +406,8 @@ def _cmd_figure(cfg: RunConfig) -> int:
 
 def _cmd_resonances(cfg: RunConfig) -> int:
     """locate |R| minima in the separation l"""
-    system = BarrierSystem(V0=cfg.V0, a=cfg.a, l=max(cfg.l_lo, 0.0), mass=cfg.mass)
+    # The search replaces l; find_resonances checks the range itself.
+    system = BarrierSystem(V0=cfg.V0, a=cfg.a, l=0.0, mass=cfg.mass)
     hits = find_resonances(system, cfg.E, (cfg.l_lo, cfg.l_hi))
     _write_text(_render_table(["l", "absR", "tau_p", "tau_d"], hits), cfg.out)
     return 0

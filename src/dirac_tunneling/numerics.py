@@ -179,12 +179,12 @@ def golden_section_min(
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     a, b = np.where(b < a, b, a), np.where(b < a, a, b)
     width = b - a
-    # math.log per bracket: an ulp from np.log could flip the ceil.
-    steps = np.array(
-        [0 if w <= tol else max(1, math.ceil(math.log(tol / w) / math.log(_INV_PHI)))
-         for w in width.ravel().tolist()],
-        dtype=int,
-    ).reshape(width.shape)
+    # math.log, not np.log (an ulp could flip the ceil), once per distinct width:
+    # brackets of a uniform scan share a few widths.
+    widths = width.ravel().tolist()
+    count = {w: 0 if w <= tol else max(1, math.ceil(math.log(tol / w) / math.log(_INV_PHI)))
+             for w in set(widths)}
+    steps = np.array([count[w] for w in widths], dtype=int).reshape(width.shape)
     n_max = int(steps.max(initial=0))
     n_min = int(steps.min(initial=n_max))
     if n_max > 0:

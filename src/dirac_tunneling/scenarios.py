@@ -25,13 +25,14 @@ carry the saturated (opaque-limit) reference constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import BarrierSystem, RegimeError, regime_error
+from .kinematics import BarrierSystem, RegimeError, _validate, regime_error
 from .numerics import continue_branch, golden_section_min
-from .amplitudes import _prepare
+from .amplitudes import _ClosedForm, _extended_kinematics
 from .times import _bulk_nr_phase_time, _bulk_times, opaque_limit_times
 
 __all__ = [
@@ -169,12 +170,16 @@ def find_resonances(
 ) -> list[tuple[float, float, float, float]]:
     """Locate resonances (minima of |R|) in the separation l.
 
-    Scans |R|^2 on a uniform grid over ``l_range``, then refines every
-    strict interior minimum of the scan at once: one lock-step
-    golden-section search over all brackets to |dl| < 1e-10, then one
-    bulk time evaluation at the minima.  Returns (l, |R|, tau_p, tau_d)
-    per resonance, ordered in l.  At a true resonance R = 0, so tau_i
-    vanishes and tau_p = tau_d there.
+    Scans |R|^2 on a uniform grid of ``scan_points`` (at least 3) over
+    ``l_range``, then refines every strict interior minimum of the scan at
+    once: one lock-step golden-section search over all brackets to
+    |dl| < 1e-10, then one bulk time evaluation at the minima.  Returns
+    (l, |R|, tau_p, tau_d) per resonance, ordered in l.  At a true
+    resonance R = 0, so tau_i vanishes and tau_p = tau_d there.
+
+    The inputs are validated once, on the scan grid: every golden-section
+    abscissa lies inside a bracket of that grid.  The search then computes
+    the kinematics (k, q, alpha) once and evaluates only |R|^2 per step.
 
     A resonance is found only when the grid samples its dip as a strict
     interior minimum; dips narrower than the grid spacing are missed
@@ -185,17 +190,23 @@ def find_resonances(
     no strict minima and the result is an empty list.
     """
     lo, hi = float(l_range[0]), float(l_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"l_range must be finite, got [{lo}, {hi}]")
     if not lo < hi:
         raise ValueError(f"l_range needs lo < hi, got [{lo}, {hi}]")
     if lo < 0.0:
         raise ValueError(f"separation cannot be negative, got lo={lo}")
+    if scan_points < 3:
+        raise ValueError(f"a resonance scan needs at least 3 points, got scan_points={scan_points}")
     V0, a, mass = system.V0, system.a, system.mass
+    grid = np.linspace(lo, hi, scan_points)
+    _validate(E, V0, a, grid, mass)
+    kinematics = _extended_kinematics(E, V0, mass)
 
     def mag_r2(l):
         # bulk_amplitudes' magR2, without its other outputs.
-        return np.float64(_prepare(E, V0, a, l, mass).magR2)
+        return np.float64(_ClosedForm(E, V0, a, l, mass, *kinematics).magR2)
 
-    grid = np.linspace(lo, hi, scan_points)
     r2 = mag_r2(grid)
     i = 1 + np.flatnonzero((r2[1:-1] < r2[:-2]) & (r2[1:-1] < r2[2:]))
     l_star = golden_section_min(mag_r2, grid[i - 1], grid[i + 1], tol=1e-11)

@@ -125,9 +125,7 @@ def _phase_cross(rec: _ClosedForm):
     s1sq' = aq' e2 (1 - e2); the e^{-2qa} rescaling cancels in this
     combination, so it is e^{-4qa} times the unscaled one.
     """
-    alpha, g, hyp = rec.alpha, rec.dlog_alpha, rec.hyp
-    al2 = alpha * alpha
-    one = 1.0 + al2
+    alpha, al2, one, g, hyp = rec.alpha, rec.al2, rec.one_al2, rec.dlog_alpha, rec.hyp
     dal2 = 2.0 * al2 * g           # (alpha^2)'
     dkl = rec.dk * rec.l           # (kl)'
     aq = rec.a * rec.dq            # a q'
@@ -152,8 +150,8 @@ def _h2_h3(alpha, parts: _ClosedForm):
     The expanded sums these factor cancel to ~1e-13 of their terms at opaque
     near-resonance points, which cost 1e-8 of relative accuracy there.
     """
-    al2 = alpha * alpha
-    h2 = (alpha / (2.0 * (1.0 + al2)) * parts.beta_hat
+    al2 = parts.al2
+    h2 = (alpha / (2.0 * parts.one_al2) * parts.beta_hat
           * (parts.gam * parts.cos_kl + parts.dlt * parts.sin_kl))
     h3 = (parts.gam**2 + parts.dlt**2) / (64.0 * al2 * al2)
     return h2, h3
@@ -195,8 +193,7 @@ def _tau_i_forms(rec: _ClosedForm):
     unit = mass / (k_d * k_d)
     from_r = -unit * rec.R.imag
     h2, h3 = _h2_h3(alpha, rec)
-    al2 = alpha * alpha
-    from_h = np.float64((mass / (k * k)) * ((1.0 + al2) / (4.0 * al2 * alpha)) * h2 / h3)
+    from_h = np.float64((mass / (k * k)) * (rec.one_al2 / (4.0 * rec.al2 * alpha)) * h2 / h3)
     return from_r, from_h, unit
 
 

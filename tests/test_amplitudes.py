@@ -18,7 +18,7 @@ from dirac_tunneling import (
     transmission,
     transmission_phase,
 )
-from dirac_tunneling.amplitudes import _ClosedForm, _prepare
+from dirac_tunneling.amplitudes import _ClosedForm, _extended_kinematics, _new_record, _prepare
 from dirac_tunneling.kinematics import RegimeError
 from dirac_tunneling.oracle import random_evanescent_grid
 from dirac_tunneling.times import (
@@ -30,7 +30,7 @@ from dirac_tunneling.times import (
     phase_time_closed,
     time_report,
 )
-from dirac_tunneling.numerics import continue_branch
+from dirac_tunneling.numerics import continue_branch, golden_section_min
 
 SYS_2A = BarrierSystem(V0=1.5, a=0.7, l=0.7)
 
@@ -340,3 +340,47 @@ def test_distinct_points_keep_at_most_one_record():
         phase_time_closed(1.8 + 1e-6 * i, SYS_2A)
     gc.collect()
     assert sum(isinstance(obj, _ClosedForm) for obj in gc.get_objects()) <= 1
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+def test_magR2_alone_leaves_gamma_delta_and_sin_2kl_uncomputed():
+    rec = _ClosedForm(1.8, 1.5, 0.7, np.linspace(0.5, 4.0, 9), 1.0,
+                      *_extended_kinematics(1.8, 1.5, 1.0))
+    rec.magR2
+    assert not {"gam", "dlt", "sin_2kl"} & set(vars(rec))
+
+
+def test_one_kinematics_record_at_golden_abscissae_matches_bulk():
+    # The objective of the resonance search: one kinematics tuple for every step.
+    E, V0, a = 1.8, 1.5, 0.7
+    kin = _extended_kinematics(E, V0, 1.0)
+    seen = []
+
+    def mag_r2(l):
+        value = np.float64(_ClosedForm(E, V0, a, l, 1.0, *kin).magR2)
+        seen.append((l, value))
+        return value
+
+    grid = np.linspace(0.01, 60.0, 257)
+    golden_section_min(mag_r2, grid[:-2], grid[2:], tol=1e-11)
+    assert len(seen) > 30
+    for l, value in seen:
+        assert _bits(value) == _bits(bulk_amplitudes(E, V0, a, l)["magR2"])
+
+
+@pytest.mark.parametrize("E, V0, a, l", [
+    (2.137018249255177, 2.542349811539691, 20.59490816541399, 1.2681584571234454),  # opaque
+    (1.8, 0.8 + 1e-9, 0.7, 0.7),                                                       # q -> 0
+    (1.8, 1.5, 0.7, 0.7),                                                              # plain
+])
+def test_lazy_fields_bit_identical_to_a_fresh_record(E, V0, a, l):
+    # The lazy record reads |R|^2 first and Delta before Gamma, the fresh one the reverse.
+    names = ["dlt", "sin_2kl", "gam", "phi_t", "R", "T"]
+    lazy = _ClosedForm(E, V0, a, l, 1.0, *_extended_kinematics(E, V0, 1.0))
+    lazy.magR2
+    got = {name: _bits(getattr(lazy, name)) for name in names}
+    fresh = _new_record(E, V0, a, l, 1.0)
+    assert {name: _bits(getattr(fresh, name)) for name in reversed(names)} == got

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,16 @@ def test_resonances_command(tmp_path, capsys):
     assert len(lines) == 3  # two resonances in (0.5, 4.0)
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == pytest.approx(1.17369545, abs=1e-4)
+
+
+@pytest.mark.parametrize("bounds", [["--l-lo", "0.5", "--l-hi", "inf"], ["--l-lo", "nan", "--l-hi", "4"]])
+def test_resonances_rejects_non_finite_range(bounds, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["resonances", "--E", "1.8", "--V0", "1.5", "--a", "0.7", *bounds])
+    assert code == 2
+    assert caught == []
+    assert "l_range must be finite" in capsys.readouterr().err
 
 
 def test_verify_smoke(capsys):

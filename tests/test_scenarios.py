@@ -19,6 +19,7 @@ from dirac_tunneling import (
     phase_time_closed,
     run_sweep,
 )
+from dirac_tunneling import amplitudes, scenarios
 from dirac_tunneling.kinematics import RegimeError
 from dirac_tunneling.scenarios import FIGURE_IDS
 
@@ -296,3 +297,57 @@ def test_find_resonances_long_range_pin():
     assert hashlib.sha256(repr(hits).encode()).hexdigest() == (
         "34c0c7335ba4ea11362123ba82bff1f247817afa4b7f348a23e1205b94ce2ba9"
     )
+
+
+@pytest.mark.parametrize("l_range", [(0.01, math.inf), (math.nan, 4.0), (-math.inf, 4.0), (0.5, math.nan)])
+def test_find_resonances_rejects_non_finite_range(l_range):
+    with pytest.raises(ValueError, match="l_range must be finite"):
+        find_resonances(BarrierSystem(V0=1.5, a=0.7, l=0.01), 1.8, l_range)
+
+
+@pytest.mark.parametrize("scan_points", [0, 1, 2])
+def test_find_resonances_rejects_fewer_than_three_scan_points(scan_points):
+    with pytest.raises(ValueError, match="at least 3 points"):
+        find_resonances(BarrierSystem(V0=1.5, a=0.7, l=0.01), 1.8, (0.5, 4.0), scan_points)
+
+
+def test_find_resonances_validates_the_scan():
+    system = BarrierSystem(V0=1.5, a=0.7, l=0.01)
+    with pytest.raises(ValueError, match="E must be finite"):
+        find_resonances(system, math.nan, (0.5, 4.0))
+    with pytest.raises(ValueError, match="separation cannot be negative"):
+        find_resonances(system, 1.8, (-0.5, 4.0))
+    with pytest.raises(RegimeError):
+        find_resonances(system, 1.0, (0.5, 4.0))
+    with pytest.raises(RegimeError):
+        find_resonances(system, 0.6, (0.5, 4.0))
+
+
+def test_find_resonances_validates_and_solves_kinematics_once_per_search(monkeypatch):
+    # Once for the scan and search, once for the final bulk times: never per golden step.
+    calls = {"validate": 0, "kinematics": 0, "objective calls": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    for module in (amplitudes, scenarios):
+        monkeypatch.setattr(module, "_validate", counted("validate", module._validate))
+        monkeypatch.setattr(module, "_extended_kinematics",
+                            counted("kinematics", module._extended_kinematics))
+    golden = scenarios.golden_section_min
+    monkeypatch.setattr(scenarios, "golden_section_min",
+                        lambda f, a, b, tol: golden(counted("objective calls", f), a, b, tol))
+
+    system = BarrierSystem(V0=1.5, a=0.7, l=0.01)
+    k = kinematic_point(1.8, system).k
+    seen = []
+    for l_range in [(0.5, 0.5 + 3.5 * math.pi / k), (0.01, 0.01 + 1429 * math.pi / k)]:
+        calls.update(dict.fromkeys(calls, 0))
+        assert find_resonances(system, 1.8, l_range)
+        seen.append(dict(calls))
+    assert [c["validate"] for c in seen] == [2, 2]
+    assert [c["kinematics"] for c in seen] == [2, 2]
+    assert seen[0]["objective calls"] != seen[1]["objective calls"]
