@@ -4,8 +4,9 @@ Closed-form scattering amplitudes and time scales (phase, dwell and
 self-interference times) for a relativistic particle meeting two
 identical electrostatic barriers, together with independent numerical
 oracles (linear-solve amplitudes, phase time from the solve's exact
-energy derivative, quadrature dwell time), sweep/resonance drivers and
-canonical datasets.  Natural units hbar = c = 1 throughout.
+energy derivative, dwell time from the exact integral of the solve's
+density), sweep/resonance drivers and canonical datasets.  Natural
+units hbar = c = 1 throughout.
 """
 
 from .kinematics import (
@@ -19,7 +20,7 @@ from .kinematics import (
     kinematic_point,
     wavenumber_k,
 )
-from .numerics import PhaseTracker, adaptive_gauss_kronrod, continue_branch, golden_section_min
+from .numerics import PhaseTracker, continue_branch, golden_section_min
 from .amplitudes import (
     RegionCoefficients,
     ScatteringSolution,
@@ -86,7 +87,6 @@ __all__ = [
     "SweepDataset",
     "SweepSpec",
     "TimeReport",
-    "adaptive_gauss_kronrod",
     "alpha",
     "appendix_terms",
     "bulk_amplitudes",

@@ -6,18 +6,19 @@ equations (two components at each of the four interfaces) as a dense
 linear system, for any broadcast stack of points in one LAPACK call; the
 phase time from the exact E-derivative of that solution, x' = M^-1 (b' -
 M' x) with M' and b' differentiated entry by entry and solved in the same
-call; the dwell time from adaptive quadrature of the probability density,
-evaluated on arrays and refined level by level.  The one-point functions
-are views of these array paths.  Tests compare the closed forms against
-these routines, so the two layers must share as little code as possible.
+call; the dwell time from the exact integral of that solution's
+probability density, region by region (`_dwell_stack`).  The one-point
+functions are views of these array paths.  Tests compare the closed
+forms against these routines, so the two layers must share as little
+code as possible.
 
-A one-point call always solves with the derivative, [b | M' | b'], and
-keeps (x, x', q) for the next one-point call at the same float inputs,
-bit for bit (`numerics._LastPoint`): `tm_solve`, `numeric_phase_time`,
-`dwell_integral`, `flux_profile` and `transfer_relation` at one point
-share one solve.  Only the last point is kept, once validated; array
-calls neither read nor replace it.  x comes out bit for bit as without
-the derivative columns, and nothing about this is configurable.
+Every solve has the derivative columns, [b | M' | b'].  A one-point
+call keeps (x, x', q) for the next one-point call at the same float
+inputs, bit for bit (`numerics._LastPoint`): `tm_solve`,
+`numeric_phase_time`, `dwell_integral`, `flux_profile` and
+`transfer_relation` at one point share one solve.  Only the last point
+is kept, once validated; array calls neither read nor replace it, and
+nothing about this is configurable.
 
 The linear system is assembled in rescaled unknowns: every evanescent
 coefficient is multiplied by the exponential factor that makes it O(1)
@@ -38,7 +39,7 @@ import numpy as np
 
 from .amplitudes import RegionCoefficients
 from .kinematics import BarrierSystem, KinematicPoint, _validate, kinematic_point
-from .numerics import _LastPoint, adaptive_gauss_kronrod
+from .numerics import _LastPoint
 
 __all__ = [
     "FieldSample",
@@ -108,8 +109,8 @@ for _i, _row in enumerate(_ROWS):
         _CONST[_i, _j], _INDEX[_i, _j] = _c, _FACTORS.index(_f)
 
 
-def _tm_system(E, V0, a, l, mass, derivative):
-    """([M | b], [M' | b'] or None, q) of broadcast valid points, shaped ``(..., 8, 9)``.
+def _tm_system(E, V0, a, l, mass):
+    """([M | b], [M' | b'], q) of broadcast valid points, shaped ``(..., 8, 9)``.
 
     A factor alpha^s e^{-2qa p + ikz} has the logarithmic E-derivative
     s alpha'/alpha - 2a q' p + i k' z, with k' = E/k, q' = -(E - V0)/q and
@@ -123,8 +124,6 @@ def _tm_system(E, V0, a, l, mass, derivative):
     ik = 1.0j * k
     phase = np.exp(outer(-2.0 * q * a, _P) + outer(ik * a, _ZA) + outer(ik * l, _ZL))
     factors = np.concatenate((phase, al[..., None] * phase), axis=-1)
-    if not derivative:
-        return _CONST * factors[..., _INDEX], None, q
     dk, dq = E / k, -diff / q
     dlog_al = dk / k - dq / q + 1.0 / (diff + mass) - 1.0 / (E + mass)
     ikp = 1.0j * dk
@@ -133,29 +132,23 @@ def _tm_system(E, V0, a, l, mass, derivative):
     return _CONST * factors[..., _INDEX], _CONST * slopes[..., _INDEX], q
 
 
-def _tm_rescaled(E, V0, a, l, mass: float = 1.0, derivative: bool = False):
-    """(x, x' or None, q) for broadcast valid points: one stacked solve of their systems.
+def _tm_rescaled(E, V0, a, l, mass: float = 1.0):
+    """(x, x', q) for broadcast valid points: one stacked solve of their systems.
 
     The eight continuity equations M x = b, two spinor components at each
     interface, in the unknowns R, A, B e^{2qa}, C e^{qa}, D e^{qa},
     F e^{-ql}, G e^{q(2a+l)} e^{2qa}, T e^{2qa}, which ``x`` holds in that
     order along its leading axis.  The matrix entries are bounded by 1 at
-    any qa.  With ``derivative``, x' = dx/dE = M^-1 (b' - M' x) comes from
-    the same solve: its right-hand side is [b | M' | b'].
+    any qa.  x' = dx/dE = M^-1 (b' - M' x) comes from the same solve: its
+    right-hand side is [b | M' | b'].
     """
-    system, slope, q = _tm_system(E, V0, a, l, mass, derivative)
-    rhs = system[..., 8:]
-    if slope is not None:
-        rhs = np.concatenate((rhs, slope), axis=-1)
-    sol = np.linalg.solve(system[..., :8], rhs)
+    system, slope, q = _tm_system(E, V0, a, l, mass)
+    sol = np.linalg.solve(system[..., :8], np.concatenate((system[..., 8:], slope), axis=-1))
     n = sol.ndim - 2
     lead = (n,) + tuple(range(n))
-    x = sol[..., 0].transpose(lead)
-    if slope is None:
-        return x, None, q
     # x' = M^-1 b' - (M^-1 M') x
     dx = sol[..., 9] - np.matmul(sol[..., 1:9], sol[..., :1])[..., 0]
-    return x, dx.transpose(lead), q
+    return sol[..., 0].transpose(lead), dx.transpose(lead), q
 
 
 def _unscaled(x, q, a, l):
@@ -165,23 +158,13 @@ def _unscaled(x, q, a, l):
             x[6] * np.exp(-q * (2.0 * a + l)) * e2, x[7] * e2, x[0])
 
 
-def _tm_stack(E, V0, a, l, mass: float = 1.0) -> RegionCoefficients:
-    """Region coefficients of broadcast (E, V0, a, l), each field an array.
-
-    Validates every point, solves them in one stack and undoes the scaling.
-    """
-    _validate(E, V0, a, l, mass)
-    x, _, q = _tm_rescaled(E, V0, a, l, mass)
-    return RegionCoefficients(*_unscaled(x, q, a, l))
-
-
 _last_solve = _LastPoint()
 
 
 def _solve_point(E, V0, a, l, mass):
     """(x, x', q) of one validated point; its arrays are read-only, as they are kept."""
     _validate(E, V0, a, l, mass)
-    x, dx, q = _tm_rescaled(E, V0, a, l, mass, derivative=True)
+    x, dx, q = _tm_rescaled(E, V0, a, l, mass)
     x.flags.writeable = dx.flags.writeable = False
     return x, dx, q
 
@@ -236,20 +219,12 @@ def _phase_time(E, a, l, mass, x, dx):
     return (dx[7] / x[7]).imag + E / np.sqrt((E - mass) * (E + mass)) * (2.0 * a + l)
 
 
-def _phase_time_stack(E, V0, a, l, mass: float = 1.0) -> np.ndarray:
-    """Phase time of broadcast valid points from the derivative of the linear solve.
-
-    x' is solved exactly with x (`_tm_rescaled`), so there is no step size.
-    """
-    _validate(E, V0, a, l, mass)
-    x, dx, _ = _tm_rescaled(E, V0, a, l, mass, derivative=True)
-    return _phase_time(E, a, l, mass, x, dx)
-
-
 def numeric_phase_time(E: float, system: BarrierSystem) -> float:
     """Phase time from the exact E-derivative of the linear solve.
 
-    The one-point view of `_phase_time_stack`, on the point's kept solve.
+    The one-point view of `_oracle_stack`'s phase time, on the point's kept
+    solve; x' is solved exactly with x (`_tm_rescaled`), so there is no step
+    size.
     """
     x, dx, _ = _tm_point(E, system)
     return float(_phase_time(E, system.a, system.l, system.mass, x, dx))
@@ -283,51 +258,116 @@ def _wavefunction(kp: KinematicPoint, system: BarrierSystem, coeffs: RegionCoeff
     return psi
 
 
-def _dwell_integral_detail(
-    E: float, system: BarrierSystem, rtol: float = 1e-9
-) -> tuple[float, float]:
-    """(dwell time, quadrature error estimate) from one adaptive Gauss-Kronrod run.
+# sinh(x)/x - 1 = sum_{n>=1} x^(2n) / (2n+1)!; seven terms reach double precision for
+# x below _SERIES_BELOW, where the closed differences lose digits.  Each branch is
+# evaluated on arguments clipped to its own side, so neither overflows nor divides by 0,
+# and `[()]` keeps a one-point value a numpy scalar.
+_SERIES_BELOW = 0.5
+_INV_ODD_FACTORIALS = tuple(1.0 / math.factorial(2 * n + 1) for n in range(7, 0, -1))
 
-    The density is analytic on every panel: e^{+-2qz} terms in the
-    barriers, cos(2kz + phi) plus a constant in the gap.  Barrier panels
-    start no wider than 1/q and gap panels no wider than pi/k, one period
-    of the gap density, so the 15-point rule resolves each in one or two
-    levels.
+
+def _sinhc_minus_one(t):
+    """sum_{n>=1} t^n / (2n+1)!: sinh(x)/x - 1 at t = x^2, sin(x)/x - 1 at t = -x^2."""
+    acc = 0.0
+    for c in _INV_ODD_FACTORIALS:
+        acc = (acc + c) * t
+    return acc
+
+
+def _barrier_kernels(x, decay):
+    """e^{-x} (sinh(x)/x + 1) and e^{-x} (sinh(x)/x - 1) at x = qa >= 0, with decay = e^{-x}."""
+    wide = np.maximum(x, _SERIES_BELOW)
+    closed = -np.expm1(-2.0 * wide) / (2.0 * wide) - decay  # e^{-x} sinh(x)/x - e^{-x}
+    near = np.minimum(x, _SERIES_BELOW)
+    series = decay * _sinhc_minus_one(near * near)
+    minus = np.where(x < _SERIES_BELOW, series, closed)[()]
+    return minus + 2.0 * decay, minus
+
+
+def _gap_kernels(y):
+    """1 + sin(y)/y and 1 - sin(y)/y at y = kl >= 0."""
+    wide = np.maximum(y, _SERIES_BELOW)
+    near = np.minimum(y, _SERIES_BELOW)
+    series = -_sinhc_minus_one(-near * near)
+    minus = np.where(y < _SERIES_BELOW, series, 1.0 - np.sin(wide) / wide)[()]
+    return 2.0 - minus, minus
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def _region(s, d, kappa2, plus, minus):
+    """(|s|^2 + kappa^2 |d|^2) plus + (|d|^2 + kappa^2 |s|^2) minus: a region's density integral."""
+    s2, d2 = _abs2(s), _abs2(d)
+    return (s2 + kappa2 * d2) * plus + (d2 + kappa2 * s2) * minus
+
+
+def _dwell_stack(E, V0, a, l, mass, x, q):
+    """Dwell time of broadcast valid points from their rescaled solve ``x`` (`_tm_rescaled`).
+
+    The density psi^dag psi = |psi1|^2 + |psi3|^2 is integrated exactly over
+    0 < z < 2a+l and divided by the incident flux J_inc = 2k/(E+m).  About
+    the centre of each region, t = z - z0, a barrier carries
+    psi1 = s cosh qt - d sinh qt and psi3 = kappa (d cosh qt - s sinh qt),
+    kappa = q/(E-V0+m) up to a phase, and the gap the same with cos kt and
+    i sin kt, kappa = k/(E+m).  The cross terms are odd in t and integrate
+    to zero, which leaves non-negative terms with the kernels of
+    `_barrier_kernels` and `_gap_kernels`: no cancellation like 1/q at the
+    window edges and no overflow at any qa.  In the rescaled unknowns
+    s, d = e^{-qa/2} (x1 +- x2 e^{-qa}) in the first barrier,
+    e^{-qa} (x3 e^{ik(2a+l)} +- x4) in the gap (up to a phase) and
+    e^{-3qa/2} (x5 +- x6 e^{-qa}) in the second barrier: the gap and the
+    second barrier contribute a factor e^{-2qa} beside the first barrier's
+    terms, and may underflow to zero.
     """
-    kp = kinematic_point(E, system)
-    coeffs = tm_solve(E, system)
-    a, s = system.a, system.a + system.l
-    n_barrier = math.ceil(kp.q * a)
-    pieces = ((0.0, a, n_barrier), (a, s, math.ceil(kp.k * system.l / math.pi)),
-              (s, system.span, n_barrier))
-    breaks = np.concatenate(
-        [lo + (hi - lo) / n * np.arange(n) for lo, hi, n in pieces if n > 0] + [[system.span]]
-    )
-    psi = _wavefunction(kp, system, coeffs)
+    k = np.sqrt((E - mass) * (E + mass))
+    kappa_free = k / (E + mass)
+    kappa_barrier = q / (E - V0 + mass)
+    # x * x, not x**2: a numpy scalar's power rounds unlike an array's square.
+    kappa2_free, kappa2_barrier = kappa_free * kappa_free, kappa_barrier * kappa_barrier
+    with np.errstate(under="ignore"):
+        decay = np.exp(-q * a)
+        plus, minus = _barrier_kernels(q * a, decay)
 
-    def density(z):
-        p1, p3 = psi(z)
-        return np.abs(p1) ** 2 + np.abs(p3) ** 2
+        def barrier(grow, fall):
+            fall = fall * decay
+            return 0.5 * a * _region(grow + fall, grow - fall, kappa2_barrier, plus, minus)
 
-    total, err = adaptive_gauss_kronrod(density, breaks[:-1], breaks[1:], rtol=rtol)
-    j_inc = 2.0 * kp.k / (E + system.mass)
-    return total / j_inc, err / j_inc
+        # x3 e^{ik(2a+l)} as x3 cos + i x3 sin: numpy's array loop for a product of two
+        # complex numbers fuses multiply-adds, so a stack would round unlike one point.
+        phase = k * (2.0 * a + l)
+        wave = x[3] * np.cos(phase) + 1.0j * (x[3] * np.sin(phase))
+        gap = 0.5 * l * _region(wave + x[4], wave - x[4], kappa2_free, *_gap_kernels(k * l))
+        total = barrier(x[1], x[2]) + decay * decay * (gap + barrier(x[5], x[6]))
+    return total / (2.0 * kappa_free)
 
 
 def dwell_integral(E: float, system: BarrierSystem) -> float:
     """Dwell time as integrated probability density over incident flux.
 
-    Integrates psi^dag psi over the potential arrangement 0 < z < 2a+l
-    (both barriers and the gap) by adaptive Gauss-Kronrod quadrature on
-    panels split at the interior interfaces, then divides by the incident
-    flux J_inc = 2k/(E+m).
+    Integrates psi^dag psi exactly over the potential arrangement
+    0 < z < 2a+l (both barriers and the gap) from the coefficients of the
+    point's kept solve (`_tm_point`), then divides by the incident flux
+    J_inc = 2k/(E+m); the one-point view of `_dwell_stack`.
     """
-    value, err = _dwell_integral_detail(E, system)
-    if err > 1e-7 * max(abs(value), 1e-300):
-        raise RuntimeError(
-            f"dwell quadrature did not converge (value {value:g}, error estimate {err:g})"
-        )
-    return value
+    x, _, q = _tm_point(E, system)
+    return float(_dwell_stack(E, system.V0, system.a, system.l, system.mass, x, q))
+
+
+def _oracle_stack(E, V0, a, l, mass: float = 1.0):
+    """(region coefficients, phase time, dwell time) of broadcast valid points.
+
+    Validates every point and makes one stacked solve with its derivative:
+    the coefficients undo its scaling, the phase time reads x and x'
+    (`_phase_time`) and the dwell time integrates the density of x
+    (`_dwell_stack`).  The array path of `tm_solve`, `numeric_phase_time`
+    and `dwell_integral`, bit for bit.
+    """
+    _validate(E, V0, a, l, mass)
+    x, dx, q = _tm_rescaled(E, V0, a, l, mass)
+    return (RegionCoefficients(*_unscaled(x, q, a, l)), _phase_time(E, a, l, mass, x, dx),
+            _dwell_stack(E, V0, a, l, mass, x, q))
 
 
 def flux_profile(

@@ -33,8 +33,8 @@ beta, Gamma and Delta that build R (their expanded sums cancel at opaque
 near-resonance points), so the check guards the complex assembly of R --
 the -i, the e^{ik(2a+l)} phase and complex128 rounding -- against a
 real-arithmetic form, not the algebra of beta, Gamma and Delta.  The
-oracle (transfer matrix and dwell quadrature) is the independent check
-of those.
+oracle (transfer matrix and the exact integral of its density) is the
+independent check of those.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _phase_cross(rec: _ClosedForm):
     return rec.gam * ddlt - rec.dlt * dgam
 
 
-def _h2_h3(alpha, parts: _ClosedForm):
+def _h2_h3(parts: _ClosedForm):
     """Rescaled (h2, h3) of the closed self-interference form, factored through beta_hat.
 
     h3 = (Gamma^2 + Delta^2) / (64 alpha^4) and
@@ -151,7 +151,7 @@ def _h2_h3(alpha, parts: _ClosedForm):
     near-resonance points, which cost 1e-8 of relative accuracy there.
     """
     al2 = parts.al2
-    h2 = (alpha / (2.0 * parts.one_al2) * parts.beta_hat
+    h2 = (parts.alpha / (2.0 * parts.one_al2) * parts.beta_hat
           * (parts.gam * parts.cos_kl + parts.dlt * parts.sin_kl))
     h3 = (parts.gam**2 + parts.dlt**2) / (64.0 * al2 * al2)
     return h2, h3
@@ -176,7 +176,7 @@ def phase_time_closed(E: float, system: BarrierSystem) -> float:
 def appendix_terms(E: float, system: BarrierSystem) -> AppendixTerms:
     """The rescaled (Gamma, Delta, h1, h2, h3) at one parameter point."""
     rec = _prepare(E, system.V0, system.a, system.l, system.mass)
-    h2, h3 = _h2_h3(rec.alpha, rec)
+    h2, h3 = _h2_h3(rec)
     return AppendixTerms(
         Gamma=float(rec.gam),
         Delta=float(rec.dlt),
@@ -192,7 +192,7 @@ def _tau_i_forms(rec: _ClosedForm):
     k_d = np.float64(k)
     unit = mass / (k_d * k_d)
     from_r = -unit * rec.R.imag
-    h2, h3 = _h2_h3(alpha, rec)
+    h2, h3 = _h2_h3(rec)
     from_h = np.float64((mass / (k * k)) * (rec.one_al2 / (4.0 * rec.al2 * alpha)) * h2 / h3)
     return from_r, from_h, unit
 
@@ -239,9 +239,14 @@ def dwell_time(E: float, system: BarrierSystem) -> float:
     return time_report(E, system).tau_d
 
 
+def _t_free(rec: _ClosedForm):
+    """span E / k with the record's extended-precision k; each caller rounds it to double once."""
+    return rec.span * rec.E / rec.k
+
+
 def free_transit_time(E: float, system: BarrierSystem) -> float:
     """Crossing time of the span at the free group velocity k/E; ``time_report``'s ``t_free``."""
-    return system.span * E / float(_prepare(E, system.V0, system.a, system.l, system.mass).k)
+    return float(_t_free(_prepare(E, system.V0, system.a, system.l, system.mass)))
 
 
 def light_transit_time(system: BarrierSystem) -> float:
@@ -255,7 +260,7 @@ def time_report(E: float, system: BarrierSystem) -> TimeReport:
     return TimeReport.from_split(
         tau_p=_tau_p(rec),
         tau_i=_tau_i_dual(rec),
-        t_free=system.span * E / float(rec.k),
+        t_free=_t_free(rec),
         t_light=system.span,
     )
 
@@ -381,7 +386,7 @@ def _time_fields(rec: _ClosedForm) -> dict:
         "tau_i": np.asarray(from_r, dtype=float),
         "from_h": from_h,
         "unit": unit,
-        "t_free": (rec.span * rec.E / rec.k).astype(float),
+        "t_free": _t_free(rec).astype(float),
         "t_light": rec.span,
         "magT2": rec.magT2.astype(float),
         "phi_t": rec.phi_t.astype(float),

@@ -28,11 +28,12 @@ the terms of the derivative cancel: there they lose up to 2.7e-12,
 elsewhere at most 6e-14.  The nonrelativistic grid also holds a point
 where a Richardson stencil of step 1e-6 E_kin missed by 1.8e-5.
 
-The oracle's quadrature dwell time `dwell_integral` has a budget per
-kind against the reference tau_p - tau_i, 4 times its worst relative
-error there.  At k -> 0 and near a resonance the oracle's linear solve,
-not the quadrature, sets the error (1.3e-9 and 6.7e-10); elsewhere it is
-at most 1.2e-13.
+The oracle's dwell time `dwell_integral`, the exact integral of the
+solved density, has a budget per kind against the reference
+tau_p - tau_i, 4 times the worst relative error that an adaptive
+quadrature of the same density reached there.  At k -> 0 and near a
+resonance the oracle's linear solve, not the integral, sets the error
+(1.3e-9 and 6.7e-10); elsewhere it is at most 1.6e-13.
 
 A sixth kind, opaque near-resonance, holds three fixed points at qa of
 11 to 19 where Gamma, Delta and beta are O(e^{-2qa}) differences of O(1)

@@ -136,8 +136,8 @@ def test_blocked_errors_name_the_global_point(monkeypatch):
     target = n - 7
     orig = times._h2_h3
 
-    def bad_at_target(alpha, parts):
-        h2, h3 = orig(alpha, parts)
+    def bad_at_target(parts):
+        h2, h3 = orig(parts)
         return h2 * np.where(parts.E == E[target], 1.0 + 1e-3, 1.0), h3
 
     monkeypatch.setattr(times, "_h2_h3", bad_at_target)

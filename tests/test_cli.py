@@ -330,12 +330,16 @@ def test_verify_smoke(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "unitarity" in out
+    assert "dwell integral vs tau_p - tau_i (8 pts)" in out
 
 
 def test_verify_resolves_the_sharp_resonance_of_seed_1(capsys):
     # grid index 752 is a resonance a finite-difference phase time misses by 4.7e-6
     assert main(["verify", "--count", "2000"]) == 0
-    assert "phase time closed vs solve derivative" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "phase time closed vs solve derivative" in out
+    # the dwell time is checked at every point, not at a prefix of the grid
+    assert "dwell integral vs tau_p - tau_i (2000 pts)" in out
 
 
 def test_verify_rejects_junk_argument():

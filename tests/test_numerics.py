@@ -1,4 +1,4 @@
-"""Branch tracking, quadrature, minimization and the last-point memo."""
+"""Branch tracking, minimization and the last-point memo."""
 
 import math
 
@@ -7,11 +7,7 @@ import pytest
 
 from dirac_tunneling.numerics import (
     PhaseTracker,
-    _GAUSS_WEIGHTS,
-    _KRONROD_NODES,
-    _KRONROD_WEIGHTS,
     _LastPoint,
-    adaptive_gauss_kronrod,
     continue_branch,
     golden_section_min,
 )
@@ -87,89 +83,6 @@ def test_continue_branch_along_axis_0_keeps_dtype():
         assert np.array_equal(continued[:, column], continue_branch(_principal(true[:, column])))
     assert np.allclose(continued - continued[0], true - true[0], atol=1e-15)
     assert continue_branch([0.0, 3.0]).dtype == np.float64
-
-
-def test_gauss_kronrod_rule_constants():
-    # G7 is the 7-point Gauss-Legendre rule on the odd-index nodes; K15 integrates
-    # x^j exactly for j <= 22 and G7 for j <= 13, so a mistyped digit shows.
-    nodes, weights = np.polynomial.legendre.leggauss(7)
-    assert np.allclose(_KRONROD_NODES[1::2, 0], nodes, rtol=0.0, atol=1e-15)
-    assert np.allclose(_GAUSS_WEIGHTS[1::2], weights, rtol=0.0, atol=1e-15)
-    assert not _GAUSS_WEIGHTS[0::2].any()
-    x = _KRONROD_NODES[:, 0]
-    exact = lambda j: 2.0 / (j + 1) if j % 2 == 0 else 0.0  # noqa: E731
-    for j in range(23):
-        assert _KRONROD_WEIGHTS @ x**j == pytest.approx(exact(j), rel=0.0, abs=1e-15), j
-    for j in range(14):
-        assert _GAUSS_WEIGHTS @ x**j == pytest.approx(exact(j), rel=0.0, abs=1e-15), j
-    # The degrees are sharp: K15 misses x^24 and G7 misses x^14.
-    assert abs(_KRONROD_WEIGHTS @ x**24 - exact(24)) > 1e-10
-    assert abs(_GAUSS_WEIGHTS @ x**14 - exact(14)) > 1e-6
-
-
-def test_adaptive_gauss_kronrod_smooth():
-    val, err = adaptive_gauss_kronrod(np.sin, 0.0, math.pi)
-    assert val == pytest.approx(2.0, rel=1e-12)
-    assert err < 1e-9
-
-
-def test_adaptive_gauss_kronrod_kink():
-    val, _ = adaptive_gauss_kronrod(lambda x: abs(x - 0.3), 0.0, 1.0, rtol=1e-10)
-    assert val == pytest.approx(0.29, rel=1e-9)
-
-
-def test_adaptive_gauss_kronrod_error_estimate_honest():
-    val, err = adaptive_gauss_kronrod(lambda x: np.exp(-x) * np.cos(8 * x), 0.0, 3.0,
-                                      rtol=1e-8)
-    exact = (math.exp(-3.0) * (8 * math.sin(24.0) - math.cos(24.0)) + 1.0) / 65.0
-    assert abs(val - exact) < 10.0 * max(err, 1e-15)
-
-
-def test_adaptive_gauss_kronrod_empty_interval():
-    assert adaptive_gauss_kronrod(math.sin, 1.0, 1.0) == (0.0, 0.0)
-    assert adaptive_gauss_kronrod(math.sin, 2.0, 1.0) == (0.0, 0.0)
-
-
-def test_adaptive_gauss_kronrod_panels_sum_to_the_interval():
-    whole, _ = adaptive_gauss_kronrod(np.exp, 0.0, 2.0, rtol=1e-12)
-    split, _ = adaptive_gauss_kronrod(np.exp, [0.0, 0.5, 1.7], [0.5, 1.7, 2.0], rtol=1e-12)
-    assert split == pytest.approx(whole, rel=1e-12)
-    assert whole == pytest.approx(math.e**2 - 1.0, rel=1e-12)
-    # empty and reversed panels count zero
-    assert adaptive_gauss_kronrod(np.exp, [0.0, 1.0, 3.0], [2.0, 1.0, 2.0], rtol=1e-12)[0] == \
-        pytest.approx(whole, rel=1e-12)
-
-
-def test_adaptive_gauss_kronrod_one_call_per_level():
-    calls = []
-
-    def f(x):
-        calls.append(x.shape)
-        return x**9 - x  # K15 and G7 are exact on this: every panel accepted at depth 0
-
-    val, err = adaptive_gauss_kronrod(f, [0.0, 1.0], [1.0, 3.0])
-    assert val == pytest.approx(3.0**10 / 10.0 - 9.0 / 2.0, rel=1e-14)
-    assert calls == [(15, 2)]
-    calls.clear()
-    adaptive_gauss_kronrod(lambda x: (calls.append(x.shape), np.sqrt(x))[1], 0.0, 1.0, max_depth=3)
-    assert len(calls) == 4  # levels 0..max_depth
-    assert calls[0] == (15, 1)
-
-
-def test_adaptive_gauss_kronrod_non_finite_integrand_raises():
-    # A NaN panel is never accepted: halving it at every level to max_depth 48
-    # would need 2^48 panels.  The first level that meets it raises instead.
-    calls = []
-
-    def f(x):
-        calls.append(x.shape)
-        return np.where(x > 0.5, np.nan, x)
-
-    with pytest.raises(ValueError, match=r"not finite at x=0\.[5-9]"):
-        adaptive_gauss_kronrod(f, 0.0, 1.0)
-    assert len(calls) <= 2
-    with pytest.raises(ValueError, match=r"not finite at x=0\.9.*: -inf"):
-        adaptive_gauss_kronrod(lambda x: np.where(x > 0.9, -np.inf, x), [0.0, 0.5], [0.5, 1.0])
 
 
 def test_golden_section_min_quadratic():

@@ -23,11 +23,10 @@ from dirac_tunneling import (
 )
 from dirac_tunneling.kinematics import RegimeError
 from dirac_tunneling.oracle import (
-    _dwell_integral_detail,
-    _phase_time_stack,
+    _dwell_stack,
+    _oracle_stack,
     _tm_point,
     _tm_rescaled,
-    _tm_stack,
     default_flux_samples,
     random_evanescent_grid,
 )
@@ -111,7 +110,7 @@ def test_numeric_phase_time_resolves_a_sharp_resonance():
 )
 def test_solve_derivative_matches_central_difference(E, V0, a, l):
     # every unknown, so every row of M' and b' is checked, not only T's
-    x, dx, _ = _tm_rescaled(E, V0, a, l, derivative=True)
+    x, dx, _ = _tm_rescaled(E, V0, a, l)
     h = 1e-6 * E
     central = (_tm_rescaled(E + h, V0, a, l)[0] - _tm_rescaled(E - h, V0, a, l)[0]) / (2.0 * h)
     assert x.shape == dx.shape == (8,)
@@ -137,8 +136,8 @@ def test_dwell_integral_matches_closed(E, V0, a, l):
 # Points where k l / pi sits near a multiple of 4: Simpson's five samples of one panel
 # across the whole gap met the density's oscillation at the same phase, so a quadrature
 # starting from the interfaces alone accepted it at depth 0 and missed by up to 10%.
-# The 15-node Gauss-Kronrod rule resolves them even from one gap panel; they stay as a
-# guard on the gap's starting panels and on the rule's acceptance test.
+# The exact integral has no samples to alias; they stay as points where the gap holds
+# whole periods of its density and sin(kl)/kl is near 0.
 ALIASING_POINTS = [
     (2.764813258117634, 2.5892134431490312, 6.851029872745196, 9.743186231730236),
     (1.8643854937233861, 1.5885333850873093, 1.2644924460698288, 7.976935759519555),
@@ -155,7 +154,7 @@ def test_dwell_integral_resolves_gap_oscillation(E, V0, a, l):
 
 
 def _assert_stack_matches_views(E, V0, a, l):
-    stacked = _tm_stack(E, V0, a, l)
+    stacked = _oracle_stack(E, V0, a, l)[0]
     shape = np.broadcast(E, V0, a, l).shape
     for idx in np.ndindex(shape):
         e, v, w, s = (float(np.broadcast_to(x, shape)[idx]) for x in (E, V0, a, l))
@@ -185,7 +184,7 @@ def test_stacked_solve_equals_tm_solve_on_the_stencil_shape(random_grid_small):
 def test_stacked_phase_time_equals_numeric_phase_time(random_grid_small):
     g = random_grid_small
     E, V0, a, l = (g[key][:40] for key in ("E", "V0", "a", "l"))
-    stacked = _phase_time_stack(E, V0, a, l)
+    stacked = _oracle_stack(E, V0, a, l)[1]
     assert stacked.shape == (40,)
     for i in range(40):
         s = BarrierSystem(V0=float(V0[i]), a=float(a[i]), l=float(l[i]))
@@ -196,7 +195,7 @@ def test_stacked_phase_time_names_the_point_outside_the_window():
     E = np.array([1.8, 1.8])
     V0 = np.array([1.5, 0.8 - 1e-7])
     with pytest.raises(RegimeError) as exc:
-        _phase_time_stack(E, V0, 0.7, 0.7)
+        _oracle_stack(E, V0, 0.7, 0.7)
     assert exc.value.index == 1
 
 
@@ -211,7 +210,7 @@ def test_stacked_phase_time_is_one_solve(random_grid_small, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     g = random_grid_small
-    _phase_time_stack(*(g[key][:40] for key in ("E", "V0", "a", "l")))
+    _oracle_stack(*(g[key][:40] for key in ("E", "V0", "a", "l")))
     assert calls == [(40, 8, 8)]
 
 
@@ -221,11 +220,65 @@ def test_dwell_integral_opaque():
     assert dwell_integral(1.8, s) == pytest.approx(1.0459527207369815, rel=1e-6)
 
 
-def test_dwell_quadrature_converges():
-    # halving the tolerance moves the value by less than the error estimate
-    coarse, err_c = _dwell_integral_detail(1.8, SYS_2A, rtol=1e-7)
-    fine, _ = _dwell_integral_detail(1.8, SYS_2A, rtol=1e-10)
-    assert abs(coarse - fine) <= 10.0 * max(err_c, 1e-14 * abs(fine))
+# (E, V0, a, l): the 2A point, q -> 0 (q a = 3.1e-4), a thin barrier with |R| = 4.1e-6,
+# an opaque point with q a = 20, and each width zero.
+_DWELL_QUAD_POINTS = [
+    (1.8, 1.5, 0.7, 0.7),
+    (2.4999999, 1.5, 0.7, 0.7),
+    (2.0776302037671788, 1.0823750737372189, 0.0023724349850200934, 7.762841937104375),
+    (1.8, 1.5, 20.0 / math.sqrt(0.91), 0.7),
+    (1.8, 1.5, 0.0, 0.7),
+    (1.8, 1.5, 0.7, 0.0),
+]
+
+
+@pytest.mark.parametrize("E, V0, a, l", _DWELL_QUAD_POINTS)
+def test_dwell_integral_matches_mpmath_quadrature_of_the_solved_density(E, V0, a, l):
+    # psi^dag psi of tm_solve's coefficients, integrated by mpmath's tanh-sinh quadrature
+    # at 30 digits region by region: a check of the exact integral, not of the solve.
+    mp = pytest.importorskip("mpmath")
+    system = BarrierSystem(V0=V0, a=a, l=l)
+    c = tm_solve(E, system)
+    with mp.workdps(30):
+        E, V0, a, l = (mp.mpf(v) for v in (E, V0, a, l))
+        k = mp.sqrt((E - 1) * (E + 1))
+        q = mp.sqrt((1 - (E - V0)) * (1 + (E - V0)))
+        kappa_free, kappa_barrier = k / (E + 1), q / (E - V0 + 1)
+
+        def density(plus, minus, lam, kappa):
+            def f(z):
+                up, dn = mp.mpc(plus) * mp.exp(lam * z), mp.mpc(minus) * mp.exp(-lam * z)
+                return abs(up + dn) ** 2 + kappa**2 * abs(up - dn) ** 2
+            return f
+
+        regions = [(0, a, density(c.A, c.B, -q, kappa_barrier)),
+                   (a, a + l, density(c.C, c.D, 1j * k, kappa_free)),
+                   (a + l, 2 * a + l, density(c.F, c.G, -q, kappa_barrier))]
+        total = sum(mp.quad(f, [lo, hi]) for lo, hi, f in regions if hi > lo)
+        reference = float(total / (2 * kappa_free))
+    assert dwell_integral(float(E), system) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def _dwell_extreme_points(grid):
+    # q a = 400, k -> 0 and a = l = 0 appended to the grid
+    E, V0, a, l = (grid[key].tolist() for key in ("E", "V0", "a", "l"))
+    extreme = [(1.8, 1.5, 400.0 / math.sqrt(0.91), 0.7), (1.0 + 1e-9, 1.5, 0.7, 0.7),
+               (1.8, 1.5, 0.0, 0.0)]
+    return [np.array(column + list(more)) for column, more in zip((E, V0, a, l), zip(*extreme))]
+
+
+def test_dwell_stack_raises_nothing_and_equals_the_one_point_view(random_grid_small):
+    E, V0, a, l = _dwell_extreme_points(random_grid_small)
+    x, _, q = _tm_rescaled(E, V0, a, l)
+    with np.errstate(all="raise"):
+        stacked = _dwell_stack(E, V0, a, l, 1.0, x, q)
+    views = [dwell_integral(e, BarrierSystem(V0=v, a=w, l=s))
+             for e, v, w, s in zip(E.tolist(), V0.tolist(), a.tolist(), l.tolist())]
+    assert np.count_nonzero(stacked != np.array(views)) == 0
+    assert stacked[-1] == 0.0 and (stacked[:-1] > 0.0).all()
+    # the saturated dwell time at q a = 400
+    assert stacked[-3] == pytest.approx(dwell_time(1.8, BarrierSystem(V0=1.5, a=a[-3], l=0.7)),
+                                        rel=1e-14)
 
 
 def test_flux_profile_constant():
@@ -363,8 +416,8 @@ def test_kept_solve_is_read_only_and_array_calls_leave_it():
     x, dx, _ = kept
     assert not x.flags.writeable and not dx.flags.writeable
     point = [np.asarray(v) for v in (1.8, 1.5, 0.7, 0.7)]
-    _tm_stack(*point)
-    _phase_time_stack(*(v.reshape(1) for v in point))
+    _oracle_stack(*point)
+    _oracle_stack(*(v.reshape(1) for v in point))
     tm_solve(np.asarray(2.5), BarrierSystem(V0=2.0, a=1.1, l=0.3))
     assert _tm_point(1.8, SYS_2A) is kept
 

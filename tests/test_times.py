@@ -73,7 +73,7 @@ def test_transit_references():
 
 
 def test_free_transit_time_equals_time_report_t_free():
-    # All three divide by the extended-precision k rounded to double.
+    # All three divide span E by the extended-precision k and round the quotient once.
     g = random_evanescent_grid(3000, seed=7)
     differ = [
         i for i, (E, V0, a, l) in enumerate(zip(*(g[key].tolist() for key in ("E", "V0", "a", "l"))))
@@ -82,6 +82,15 @@ def test_free_transit_time_equals_time_report_t_free():
                 opaque_limit_times(E, BarrierSystem(V0=V0, a=a, l=l)).t_free}) != 1
     ]
     assert differ == []
+
+
+def test_scalar_t_free_bit_identical_to_bulk():
+    # Both divide span E by the record's extended-precision k and round once.
+    g = random_evanescent_grid(3000, seed=3)
+    bulk = _bulk_times(g["E"], g["V0"], g["a"], g["l"])["t_free"]
+    scalar = np.array([time_report(E, BarrierSystem(V0=V0, a=a, l=l)).t_free
+                       for E, V0, a, l in zip(*(g[key].tolist() for key in ("E", "V0", "a", "l")))])
+    assert np.count_nonzero(scalar != bulk) == 0
 
 
 def test_appendix_terms_reconstruct_phase_time():
@@ -127,8 +136,8 @@ def test_interference_guard_trips_on_corruption(monkeypatch):
     # sabotage one of the two internal forms: the cross check must fire
     orig = times_mod._h2_h3
 
-    def bad(alpha, parts):
-        h2, h3 = orig(alpha, parts)
+    def bad(parts):
+        h2, h3 = orig(parts)
         return h2 * (1.0 + 1e-3), h3
 
     monkeypatch.setattr(times_mod, "_h2_h3", bad)
@@ -136,8 +145,8 @@ def test_interference_guard_trips_on_corruption(monkeypatch):
         self_interference_delay(1.8, BarrierSystem(V0=1.5, a=0.7, l=0.7))
 
     # on a grid the message also names the worst point's flat index
-    def bad_at_1(alpha, parts):
-        h2, h3 = orig(alpha, parts)
+    def bad_at_1(parts):
+        h2, h3 = orig(parts)
         return h2 * np.array([1.0, 1.0 + 1e-3, 1.0]), h3
 
     monkeypatch.setattr(times_mod, "_h2_h3", bad_at_1)
@@ -319,11 +328,11 @@ def test_bulk_times_matches_scalar():
 
 # SHA-256 of the float64 bytes of the scalar outputs on a fixed random grid.
 # Like the bulk pin, it holds for the 80-bit x87 longdouble build.  Scalar and
-# bulk outputs are not bit-equal (complex exp on arrays rounds differently, and
-# the scalar t_free divides in double), so each path has its own pin.  The
+# bulk outputs are not bit-equal (complex exp on arrays rounds differently), so
+# each path has its own pin.  The
 # seed's grid holds points where the NR prefactor m/k^2 rounds differently
 # for k**2 (C pow) and k*k, so the pin also sees that choice.
-SCALAR_SHA256 = "30b0b3cd1b1a70f3ffa30ed8f62aabdc4f860f3fe76b6902538519e24b9f4e76"
+SCALAR_SHA256 = "2c61431d80acc23e9797061015ef31ac680de7c6e00ec07e25385b20a62e9828"
 
 
 @pytest.mark.skipif(
