@@ -14,11 +14,13 @@ import pytest
 from dirac_tunneling import (
     FIGURE_IDS,
     BarrierSystem,
+    SweepSpec,
     emit_csv,
     emit_plot_script,
     figure_datasets,
     find_resonances,
     read_csv,
+    run_sweep,
     time_report,
 )
 from dirac_tunneling import cli
@@ -233,6 +235,47 @@ def test_render_table_matches_per_value_rendering_on_edge_values():
     assert _lines(cli._render_table(["x", "y"], rows)) == _reference_table(["x", "y"], rows)
     assert _lines(cli._render_table(["x", "y", "c"], rows, constants=(-0.0,))) == _reference_table(
         ["x", "y", "c"], [row + [-0.0] for row in rows])
+
+
+def test_render_table_is_exact_on_ties_carries_and_extreme_exponents():
+    # Where a renderer that rounds twice, or scales by an inexact power of ten, goes
+    # wrong: decimal ties of the 12th digit and their neighbours, decade carries,
+    # 3-digit exponents, subnormals, signed zeros and non-finite values; in tables of
+    # 0 rows, 1 row and several row blocks, with and without constant columns.
+    rng = np.random.default_rng(1711)
+    digits = rng.integers(10**11, 10**12, 2000) * 10 + 5  # 13 digits ending in 5
+    # Exact ties (m 10^p < 2^53, and 12-digit integers plus a half), then the doubles
+    # nearest to decimal ties across the whole exponent range.
+    ties = np.array(
+        [float(int(m) * 10 ** int(p)) for m, p in zip(digits, rng.integers(0, 5, digits.size))]
+        + (rng.integers(10**11, 10**12, 1000) + 0.5).tolist()
+        + [float(f"{m}e{p}") for m, p in zip(digits, rng.integers(-335, 296, digits.size))])
+    carries = np.array([float(f"9.999999999995e{n}") for n in range(-320, 309)])
+    extremes = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.5e-310, 2.2250738585072014e-308,
+                1.7976931348623157e308, 1e100, 9.99999999999e99, 1.5e-200, 1e-100, 9.9999999999995e-100]
+    values = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, math.inf),
+                             carries, np.nextafter(carries, 0.0), np.nextafter(carries, math.inf),
+                             extremes])
+    table = np.resize(values * rng.choice([-1.0, 1.0], values.size), (2 * cli._BLOCK + 5, 3))
+    for rows in (table[:0], table[:1], table):
+        for constants in ((), (-0.0, 9.999999999995e-5, 1e-300)):
+            names = ["x", "y", "z"] + ["c"] * len(constants)
+            expected = _reference_table(names, [row + list(constants) for row in rows.tolist()])
+            assert _lines(cli._render_table(names, rows, constants)) == expected
+
+
+def test_sweep_across_row_blocks_matches_per_value_rendering(tmp_path, capsys):
+    # 20000 rows are four full row blocks and a partial one, written to a file and to stdout.
+    argv = ["sweep", "--swept", "a", "--lo", "0.01", "--hi", "6", "--points", "20000",
+            "--E", "1.8", "--V0", "1.5", "--l", "0.7", "--include-nr"]
+    spec = SweepSpec(swept="width_a", lo=0.01, hi=6.0, points=20000,
+                     system=BarrierSystem(V0=1.5, a=0.01, l=0.7), E=1.8, include_nr=True)
+    expected = _reference_dataset_csv(run_sweep(spec))
+    out = tmp_path / "sweep.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _lines(out.read_bytes().decode("ascii")) == expected
+    assert main(argv) == 0
+    assert _lines(capsys.readouterr().out) == expected
 
 
 def test_parser_is_built_once_and_keeps_no_state():

@@ -1,6 +1,7 @@
 """Repository tooling: the demos run, the oracle stays independent of the closed forms,
 each CLI key is declared once, no public numerics helper is dead, every package export
-resolves, and the one-point memo is the only cache kept across calls."""
+resolves, the one-point memo is the only cache kept across calls, and the CSV number
+format is written in the renderer alone."""
 
 import argparse
 import ast
@@ -135,3 +136,23 @@ def test_one_memo_and_no_other_cache_across_calls():
                                 or node.args.kwarg), (path.name, node.name)
     assert set(rebinds) <= {("amplitudes.py", "_executor"), ("amplitudes.py", "_forget_pool")}
     assert _calls("_LastPoint") == ["amplitudes.py", "oracle.py"]
+
+
+def test_the_csv_number_format_is_written_in_the_renderer_alone():
+    # The 12-digit format of every CSV table appears only in cli._render_rows, so no
+    # second table writer can grow beside it.  f"{v:.11e}" parses to the spec ".11e";
+    # docstrings may name the format.
+    found = []
+    for path in sorted((ROOT / "src" / "dirac_tunneling").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner, docstrings = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.body and isinstance(node.body[0], ast.Expr):
+                    docstrings.add(id(node.body[0].value))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(inner), node.name) for inner in ast.walk(node))
+        found += [(path.name, owner.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and ".11e" in node.value and id(node) not in docstrings]
+    assert found == [("cli.py", "_render_rows")]
