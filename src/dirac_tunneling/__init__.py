@@ -20,7 +20,7 @@ from .kinematics import (
     kinematic_point,
     wavenumber_k,
 )
-from .numerics import PhaseTracker, continue_branch, golden_section_min
+from .numerics import PhaseTracker, continue_branch
 from .amplitudes import (
     RegionCoefficients,
     ScatteringSolution,
@@ -103,7 +103,6 @@ __all__ = [
     "find_resonances",
     "flux_profile",
     "free_transit_time",
-    "golden_section_min",
     "interface_matrix",
     "kinematic_point",
     "light_transit_time",

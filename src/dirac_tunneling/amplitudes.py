@@ -175,10 +175,11 @@ class _ClosedForm:
     ``dq`` = q', ``dlog_alpha`` = alpha'/alpha, ``al2`` = alpha^2,
     ``one_al2`` = 1 + alpha^2, the hyperbolics, kl and sin kl.  Everything
     else is computed on first use: the rescaled Gamma and Delta (``gam``,
-    ``dlt``) with sin 2kl, the cosines, beta_hat and the amplitudes, so
-    |R|^2 alone reads neither Gamma, Delta nor sin 2kl.  Each quantity
-    keeps the shape of the inputs it depends on.  Real quantities stay in
-    extended precision; U, T and R are complex128.
+    ``dlt``) with sin 2kl, the cosines, beta_hat and its kl-slope
+    ``dbeta_hat``, and the amplitudes, so |R|^2 alone reads neither Gamma,
+    Delta nor sin 2kl.  Each quantity keeps the shape of the inputs it
+    depends on.  Real quantities stay in extended precision; U, T and R
+    are complex128.
     """
 
     def __init__(self, E, V0, a, l, mass, k, q, alpha, dk, dq, dlog_alpha):
@@ -229,6 +230,15 @@ class _ClosedForm:
         return (self.one_al2 / self.alpha) * (
             0.5 * self.cos_kl * self.hyp.s2
             + ((1.0 - al2) / (2.0 * self.alpha)) * self.sin_kl * self.hyp.s1sq
+        )
+
+    @_computed_once
+    def dbeta_hat(self):
+        """d beta_hat / d(kl), beta_hat a quarter period later: beta_hat is a sinusoid in kl."""
+        al2 = self.al2
+        return (self.one_al2 / self.alpha) * (
+            ((1.0 - al2) / (2.0 * self.alpha)) * self.cos_kl * self.hyp.s1sq
+            - 0.5 * self.sin_kl * self.hyp.s2
         )
 
     @_computed_once

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kinematics import BarrierSystem, RegimeError, _validate, regime_error
-from .numerics import continue_branch, golden_section_min
+from .numerics import continue_branch
 from .amplitudes import _ClosedForm, _extended_kinematics
 from .times import _bulk_nr_phase_time, _bulk_times, opaque_limit_times
 
@@ -168,18 +168,26 @@ def find_resonances(
     l_range: tuple[float, float],
     scan_points: int = 1024,
 ) -> list[tuple[float, float, float, float]]:
-    """Locate resonances (minima of |R|) in the separation l.
+    """Locate resonances (zeros of R) in the separation l.
 
     Scans |R|^2 on a uniform grid of ``scan_points`` (at least 3) over
-    ``l_range``, then refines every strict interior minimum of the scan at
-    once: one lock-step golden-section search over all brackets to
-    |dl| < 1e-10, then one bulk time evaluation at the minima.  Returns
-    (l, |R|, tau_p, tau_d) per resonance, ordered in l.  At a true
+    ``l_range`` and places one resonance at every strict interior minimum
+    of the scan, then evaluates the times at all of them in one bulk call.
+    Returns (l, |R|, tau_p, tau_d) per resonance, ordered in l.  At a
     resonance R = 0, so tau_i vanishes and tau_p = tau_d there.
 
-    The inputs are validated once, on the scan grid: every golden-section
-    abscissa lies inside a bracket of that grid.  The search then computes
-    the kinematics (k, q, alpha) once and evaluates only |R|^2 per step.
+    R vanishes with beta, which in l is a pure sinusoid C sin(kl - theta):
+    its zeros solve tan(kl) = -2 alpha coth(qa) / (1 - alpha^2) and are
+    spaced pi/k.  From a scan minimum g one step,
+    l* = g - arctan(beta_hat / dbeta_hat) / k in extended precision,
+    lands exactly on the zero nearest g; l* is rounded to double once.
+    That zero lies inside the bracket (g - h, g + h) of the grid spacing h:
+    between two zeros |beta| is concave, so a strict minimum of three
+    samples needs a zero between the outer two, and the nearest zero is
+    no farther from g than that one.
+
+    The inputs are validated once, on the scan grid, and the kinematics
+    (k, q, alpha) are computed once for the scan and the minima.
 
     A resonance is found only when the grid samples its dip as a strict
     interior minimum; dips narrower than the grid spacing are missed
@@ -203,13 +211,17 @@ def find_resonances(
     _validate(E, V0, a, grid, mass)
     kinematics = _extended_kinematics(E, V0, mass)
 
+    def record(l):
+        return _ClosedForm(E, V0, a, l, mass, *kinematics)
+
     def mag_r2(l):
         # bulk_amplitudes' magR2, without its other outputs.
-        return np.float64(_ClosedForm(E, V0, a, l, mass, *kinematics).magR2)
+        return np.float64(record(l).magR2)
 
     r2 = mag_r2(grid)
     i = 1 + np.flatnonzero((r2[1:-1] < r2[:-2]) & (r2[1:-1] < r2[2:]))
-    l_star = golden_section_min(mag_r2, grid[i - 1], grid[i + 1], tol=1e-11)
+    minima = record(grid[i])
+    l_star = np.float64(minima.l - np.arctan(minima.beta_hat / minima.dbeta_hat) / minima.k)
     times = _bulk_times(E, V0, a, l_star, mass)
     columns = (l_star, np.sqrt(mag_r2(l_star)), times["tau_p"], times["tau_d"])
     return list(zip(*(column.tolist() for column in columns)))

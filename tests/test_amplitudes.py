@@ -30,7 +30,7 @@ from dirac_tunneling.times import (
     phase_time_closed,
     time_report,
 )
-from dirac_tunneling.numerics import continue_branch, golden_section_min
+from dirac_tunneling.numerics import continue_branch
 
 SYS_2A = BarrierSystem(V0=1.5, a=0.7, l=0.7)
 
@@ -351,24 +351,6 @@ def test_magR2_alone_leaves_gamma_delta_and_sin_2kl_uncomputed():
                       *_extended_kinematics(1.8, 1.5, 1.0))
     rec.magR2
     assert not {"gam", "dlt", "sin_2kl"} & set(vars(rec))
-
-
-def test_one_kinematics_record_at_golden_abscissae_matches_bulk():
-    # The objective of the resonance search: one kinematics tuple for every step.
-    E, V0, a = 1.8, 1.5, 0.7
-    kin = _extended_kinematics(E, V0, 1.0)
-    seen = []
-
-    def mag_r2(l):
-        value = np.float64(_ClosedForm(E, V0, a, l, 1.0, *kin).magR2)
-        seen.append((l, value))
-        return value
-
-    grid = np.linspace(0.01, 60.0, 257)
-    golden_section_min(mag_r2, grid[:-2], grid[2:], tol=1e-11)
-    assert len(seen) > 30
-    for l, value in seen:
-        assert _bits(value) == _bits(bulk_amplitudes(E, V0, a, l)["magR2"])
 
 
 @pytest.mark.parametrize("E, V0, a, l", [

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_tunneling import (
     BarrierSystem,
@@ -216,56 +218,29 @@ def test_find_resonances_transparent_system():
     assert find_resonances(s, 1.8, (0.1, 10.0)) == []
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
-
-
-def _scalar_golden_section_min(f, a, b, tol=1e-12):
-    # The one-bracket search find_resonances ran before the lock-step one.
-    if b < a:
-        a, b = b, a
-    width = b - a
-    if width <= tol:
-        return 0.5 * (a + b)
-    n = max(1, math.ceil(math.log(tol / width) / math.log(_INV_PHI)))
-    c = a + _INV_PHI2 * width
-    d = a + _INV_PHI * width
-    fc, fd = f(c), f(d)
-    for _ in range(n):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            width *= _INV_PHI
-            c = a + _INV_PHI2 * width
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            width *= _INV_PHI
-            d = a + _INV_PHI * width
-            fd = f(d)
-    return 0.5 * (a + b)
+def _strict_scan_minima(system, E, l_range, scan_points=1024):
+    # The scan find_resonances documents: strict interior minima of |R|^2 on a uniform grid.
+    grid = np.linspace(l_range[0], l_range[1], scan_points)
+    r2 = bulk_amplitudes(E, system.V0, system.a, grid, system.mass)["magR2"]
+    i = 1 + np.flatnonzero((r2[1:-1] < r2[:-2]) & (r2[1:-1] < r2[2:]))
+    return grid, i
 
 
 def _one_at_a_time_resonances(system, E, l_range, scan_points=1024):
-    # Reference: the same scan, then one scalar search and scalar times per minimum.
-    lo, hi = float(l_range[0]), float(l_range[1])
-
-    def mag_r2(l):
-        amp = bulk_amplitudes(E, system.V0, system.a, l, system.mass)
-        return float(amp["magR2"])
-
-    grid = np.linspace(lo, hi, scan_points)
-    r2 = bulk_amplitudes(E, system.V0, system.a, grid, system.mass)["magR2"]
-    found = []
-    for i in range(1, scan_points - 1):
-        if r2[i] < r2[i - 1] and r2[i] < r2[i + 1]:
-            l_star = _scalar_golden_section_min(mag_r2, grid[i - 1], grid[i + 1], tol=1e-11)
-            trimmed = BarrierSystem(
-                V0=system.V0, a=system.a, l=l_star, mass=system.mass
-            )
-            tau_p = phase_time_closed(E, trimmed)
-            tau_d = dwell_time(E, trimmed)
-            found.append((float(l_star), math.sqrt(mag_r2(l_star)), tau_p, tau_d))
-    return found
+    # Reference: per scan minimum g, the root of tan(kl) = -2 alpha coth(qa) / (1 - alpha^2)
+    # nearest g, in 40-digit mpmath, rounded to double once.
+    mp = pytest.importorskip("mpmath")
+    grid, i = _strict_scan_minima(system, E, l_range, scan_points)
+    if i.size == 0:
+        return []
+    with mp.workdps(40):
+        E_, V0, a, m = (mp.mpf(x) for x in (E, system.V0, system.a, system.mass))
+        k = mp.sqrt((E_ - m) * (E_ + m))
+        q = mp.sqrt((m - (E_ - V0)) * (m + (E_ - V0)))
+        alpha = (k / q) * (E_ - V0 + m) / (E_ + m)
+        theta = mp.atan2(-2 * alpha * mp.coth(q * a), 1 - alpha * alpha)
+        return [float((theta + mp.nint((k * mp.mpf(g) - theta) / mp.pi) * mp.pi) / k)
+                for g in grid[i].tolist()]
 
 
 @pytest.mark.parametrize(
@@ -281,7 +256,14 @@ def test_find_resonances_equals_one_at_a_time_search(V0, a, E, l_range, hits):
     system = BarrierSystem(V0=V0, a=a, l=l_range[0])
     got = find_resonances(system, E, l_range)
     assert len(got) == hits
-    assert got == _one_at_a_time_resonances(system, E, l_range)
+    reference = _one_at_a_time_resonances(system, E, l_range)
+    assert len(reference) == hits
+    for (l_star, absR, tau_p, tau_d), l_ref in zip(got, reference):
+        assert abs(l_star - l_ref) <= 4 * math.ulp(l_ref)
+        # The other columns are the package's own values at the listed l.
+        at = BarrierSystem(V0=V0, a=a, l=l_star)
+        assert absR == math.sqrt(float(bulk_amplitudes(E, V0, a, l_star)["magR2"]))
+        assert (tau_p, tau_d) == (phase_time_closed(E, at), dwell_time(E, at))
     assert all(type(x) is float for row in got for x in row)
 
 
@@ -295,8 +277,47 @@ def test_find_resonances_long_range_pin():
     hits = find_resonances(system, 1.8, (0.01, 0.01 + 1429 * math.pi / k))
     assert len(hits) == 406
     assert hashlib.sha256(repr(hits).encode()).hexdigest() == (
-        "34c0c7335ba4ea11362123ba82bff1f247817afa4b7f348a23e1205b94ce2ba9"
+        "73b7d86231c3c33c749dafc28a1419dde208d3ed2eccf6d8d6c10692b22609b7"
     )
+
+
+_MARGIN = 1e-3
+
+
+@st.composite
+def _searches(draw):
+    E = draw(st.floats(1.0 + _MARGIN, 3.0))
+    V0 = draw(st.floats(max(E - 1.0 + _MARGIN, _MARGIN), E + 1.0 - _MARGIN))
+    a = draw(st.floats(0.01, 5.0))
+    lo = draw(st.floats(0.0, 100.0))
+    hi = lo + draw(st.floats(0.1, 1000.0))
+    return BarrierSystem(V0=V0, a=a, l=lo), E, (lo, hi), draw(st.integers(3, 2048))
+
+
+# 4x the worst of 300 derandomized examples at a <= 5 (0.5001 and 1.73e-16).  |R| is
+# counted in units of |dR/dl| ulp(l*): a correctly rounded zero reads at most 0.5.
+_ABS_R_ULPS_BUDGET = 2.0
+_TAU_P_TAU_D_BUDGET = 6.9e-16
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_searches())
+def test_find_resonances_places_one_zero_per_strict_scan_minimum(search):
+    system, E, l_range, scan_points = search
+    hits = find_resonances(system, E, l_range, scan_points)
+    grid, i = _strict_scan_minima(system, E, l_range, scan_points)
+    assert len(hits) == i.size
+    l_star = np.array([row[0] for row in hits])
+    assert np.all(grid[i - 1] < l_star) and np.all(l_star < grid[i + 1])
+    assert np.all(np.diff(l_star) > 0)
+    # beta = A cos kl + B sin kl in l, so |dR/dl| = k hypot(A, B) at a zero.
+    kp = kinematic_point(E, system)
+    qa, al = kp.q * system.a, kp.alpha
+    slope = kp.k * (1.0 + al * al) / al * math.hypot(
+        0.5 * math.sinh(2.0 * qa), (1.0 - al * al) / (2.0 * al) * math.sinh(qa) ** 2)
+    for l, absR, tau_p, tau_d in hits:
+        assert absR <= _ABS_R_ULPS_BUDGET * slope * math.ulp(l)
+        assert abs(tau_p - tau_d) <= _TAU_P_TAU_D_BUDGET * tau_p
 
 
 @pytest.mark.parametrize("l_range", [(0.01, math.inf), (math.nan, 4.0), (-math.inf, 4.0), (0.5, math.nan)])
@@ -324,8 +345,9 @@ def test_find_resonances_validates_the_scan():
 
 
 def test_find_resonances_validates_and_solves_kinematics_once_per_search(monkeypatch):
-    # Once for the scan and search, once for the final bulk times: never per golden step.
-    calls = {"validate": 0, "kinematics": 0, "objective calls": 0}
+    # Once for the scan and the minima, once for the final bulk times; one record each
+    # for the scan, the minima and |R| at the listed l: never per resonance.
+    calls = {"validate": 0, "kinematics": 0, "records": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -337,9 +359,7 @@ def test_find_resonances_validates_and_solves_kinematics_once_per_search(monkeyp
         monkeypatch.setattr(module, "_validate", counted("validate", module._validate))
         monkeypatch.setattr(module, "_extended_kinematics",
                             counted("kinematics", module._extended_kinematics))
-    golden = scenarios.golden_section_min
-    monkeypatch.setattr(scenarios, "golden_section_min",
-                        lambda f, a, b, tol: golden(counted("objective calls", f), a, b, tol))
+    monkeypatch.setattr(scenarios, "_ClosedForm", counted("records", scenarios._ClosedForm))
 
     system = BarrierSystem(V0=1.5, a=0.7, l=0.01)
     k = kinematic_point(1.8, system).k
@@ -350,4 +370,4 @@ def test_find_resonances_validates_and_solves_kinematics_once_per_search(monkeyp
         seen.append(dict(calls))
     assert [c["validate"] for c in seen] == [2, 2]
     assert [c["kinematics"] for c in seen] == [2, 2]
-    assert seen[0]["objective calls"] != seen[1]["objective calls"]
+    assert [c["records"] for c in seen] == [3, 3]
