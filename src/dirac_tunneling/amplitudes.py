@@ -35,6 +35,9 @@ on 2 x 10^6 random evanescent points).
 
 Every formula above is written once, in the record `_prepare` returns:
 the scalar functions, the bulk ones and the times are all views of it.
+It calls one sine and one cosine, of kl (sin kl eagerly, cos kl on first
+use), and takes sin 2kl and cos 2kl from them by the double-angle
+identities in extended precision.
 0-d inputs are evaluated as numpy scalars on the same code path as arrays.
 
 A one-point call keeps its record (`numerics._LastPoint`), and the next
@@ -174,12 +177,16 @@ class _ClosedForm:
     extended-precision k, q, alpha and their energy slopes ``dk`` = k',
     ``dq`` = q', ``dlog_alpha`` = alpha'/alpha, ``al2`` = alpha^2,
     ``one_al2`` = 1 + alpha^2, the hyperbolics, kl and sin kl.  Everything
-    else is computed on first use: the rescaled Gamma and Delta (``gam``,
-    ``dlt``) with sin 2kl, the cosines, beta_hat and its kl-slope
+    else is computed on first use: cos kl, then sin 2kl = 2 sin kl cos kl
+    and cos 2kl = (cos kl - sin kl)(cos kl + sin kl) from it, the rescaled
+    Gamma and Delta (``gam``, ``dlt``), beta_hat and its kl-slope
     ``dbeta_hat``, and the amplitudes, so |R|^2 alone reads neither Gamma,
-    Delta nor sin 2kl.  Each quantity keeps the shape of the inputs it
-    depends on.  Real quantities stay in extended precision; U, T and R
-    are complex128.
+    Delta nor sin 2kl.  The identities are within a few longdouble ulps,
+    absolute, of sinl and cosl at 2kl (at most 1.2 eps against mpmath of
+    the same kl up to 8000; sinl and cosl, 0.26 eps), and the rounding of
+    kl itself, about ulp(kl), dominates both.  Each quantity keeps the
+    shape of its inputs; real ones stay in extended precision, while U, T
+    and R are complex128.
     """
 
     def __init__(self, E, V0, a, l, mass, k, q, alpha, dk, dq, dlog_alpha):
@@ -193,16 +200,24 @@ class _ClosedForm:
         self.kl = k * l
         self.sin_kl = np.sin(self.kl)
 
-    # On first use only: |R|^2 reads neither Gamma, Delta nor sin 2kl; of the cosines
-    # the NR phase reads neither, the phase time only cos 2kl.  Every reader of Gamma,
-    # Delta or sin 2kl reads all three, so the first read of any computes all three:
-    # three separate first reads cost a one-point call about 2 us more (2-vCPU x86-64).
+    @_computed_once
+    def cos_kl(self):
+        return np.cos(self.kl)
+
+    @_computed_once
+    def sin_2kl(self):
+        return 2.0 * self.sin_kl * self.cos_kl
+
+    @_computed_once
+    def cos_2kl(self):
+        # The product form keeps the absolute error of cos^2 - sin^2 where cos 2kl -> 0.
+        return (self.cos_kl - self.sin_kl) * (self.cos_kl + self.sin_kl)
+
     @_computed_once
     def gam(self):
-        """Gamma e^{-2qa}; sets Delta e^{-2qa} (``dlt``) and ``sin_2kl`` on the way."""
+        """Gamma e^{-2qa}; sets Delta e^{-2qa} (``dlt``) on the way, as every reader reads both."""
         al2, one, hyp, sin_kl = self.al2, self.one_al2, self.hyp, self.sin_kl
-        self.sin_2kl = sin_2kl = np.sin(2.0 * self.kl)
-        self.dlt = 4.0 * self.alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * sin_2kl * hyp.s1sq
+        self.dlt = 4.0 * self.alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * self.sin_2kl * hyp.s1sq
         return 8.0 * al2 * hyp.c2 - 4.0 * one * one * sin_kl * sin_kl * hyp.s1sq
 
     @_computed_once
@@ -211,17 +226,9 @@ class _ClosedForm:
         return self.dlt
 
     @_computed_once
-    def sin_2kl(self):
-        self.gam
-        return self.sin_2kl
-
-    @_computed_once
-    def cos_kl(self):
-        return np.cos(self.kl)
-
-    @_computed_once
-    def cos_2kl(self):
-        return np.cos(2.0 * self.kl)
+    def gd2(self):
+        """Gamma^2 + Delta^2, rescaled by e^{-4qa}: the phase time's and h3's denominator."""
+        return self.gam**2 + self.dlt**2
 
     @_computed_once
     def beta_hat(self):
@@ -270,12 +277,19 @@ class _ClosedForm:
 
     # |T|^2 = 1 / (1 + beta^2) and |R|^2 = beta^2 / (1 + beta^2): they sum to one by construction.
     @_computed_once
+    def mag_den(self):
+        """e^{-4qa} + beta_hat^2, the one denominator of both; sets ``beta_sq`` on the way."""
+        self.beta_sq = self.beta_hat**2
+        return self.hyp.e4 + self.beta_sq
+
+    @_computed_once
     def magT2(self):
-        return self.hyp.e4 / (self.hyp.e4 + self.beta_hat**2)
+        return self.hyp.e4 / self.mag_den
 
     @_computed_once
     def magR2(self):
-        return self.beta_hat**2 / (self.hyp.e4 + self.beta_hat**2)
+        den = self.mag_den
+        return self.beta_sq / den
 
 
 _last_record = _LastPoint()

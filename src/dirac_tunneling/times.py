@@ -150,16 +150,15 @@ def _h2_h3(parts: _ClosedForm):
     The expanded sums these factor cancel to ~1e-13 of their terms at opaque
     near-resonance points, which cost 1e-8 of relative accuracy there.
     """
-    al2 = parts.al2
     h2 = (parts.alpha / (2.0 * parts.one_al2) * parts.beta_hat
           * (parts.gam * parts.cos_kl + parts.dlt * parts.sin_kl))
-    h3 = (parts.gam**2 + parts.dlt**2) / (64.0 * al2 * al2)
+    h3 = parts.gd2 / (64.0 * parts.al2 * parts.al2)
     return h2, h3
 
 
 def _tau_p(rec: _ClosedForm):
     """Phase time dphi_t/dE = l k' - (Gamma Delta' - Delta Gamma') / (Gamma^2 + Delta^2)."""
-    return rec.l * rec.dk - _phase_cross(rec) / (rec.gam**2 + rec.dlt**2)
+    return rec.l * rec.dk - _phase_cross(rec) / rec.gd2
 
 
 def phase_time_closed(E: float, system: BarrierSystem) -> float:
@@ -219,11 +218,6 @@ def _check_tau_i(E, V0, a, l, from_r, from_h, unit):
     return from_r
 
 
-def _tau_i_dual(rec: _ClosedForm):
-    """Both tau_i forms with the built-in agreement check; returns the Im R form."""
-    return _check_tau_i(rec.E, rec.V0, rec.a, rec.l, *_tau_i_forms(rec))
-
-
 def self_interference_delay(E: float, system: BarrierSystem) -> float:
     """Self-interference delay tau_i = -(m/k^2) Im R.
 
@@ -259,7 +253,7 @@ def time_report(E: float, system: BarrierSystem) -> TimeReport:
     rec = _prepare(E, system.V0, system.a, system.l, system.mass)
     return TimeReport.from_split(
         tau_p=_tau_p(rec),
-        tau_i=_tau_i_dual(rec),
+        tau_i=_check_tau_i(rec.E, rec.V0, rec.a, rec.l, *_tau_i_forms(rec)),
         t_free=_t_free(rec),
         t_light=system.span,
     )
@@ -366,17 +360,9 @@ def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
     E, V0, a, l = (np.asarray(x, dtype=float) for x in (E, V0, a, l))
     out = _bulk(_time_fields, E, V0, a, l, mass)
     # Checked once on the whole grid, so a failure names the worst point of all blocks.
-    tau_p = out["tau_p"]
-    tau_i = _check_tau_i(E, V0, a, l, out["tau_i"], out["from_h"], out["unit"])
-    return {
-        "tau_p": tau_p,
-        "tau_i": tau_i,
-        "tau_d": tau_p - tau_i,
-        "t_free": out["t_free"],
-        "t_light": out["t_light"],
-        "magT2": out["magT2"],
-        "phi_t": out["phi_t"],
-    }
+    _check_tau_i(E, V0, a, l, out["tau_i"], out.pop("from_h"), out.pop("unit"))
+    out["tau_d"] = out["tau_p"] - out["tau_i"]
+    return out
 
 
 def _time_fields(rec: _ClosedForm) -> dict:

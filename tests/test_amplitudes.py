@@ -360,9 +360,33 @@ def test_magR2_alone_leaves_gamma_delta_and_sin_2kl_uncomputed():
 ])
 def test_lazy_fields_bit_identical_to_a_fresh_record(E, V0, a, l):
     # The lazy record reads |R|^2 first and Delta before Gamma, the fresh one the reverse.
-    names = ["dlt", "sin_2kl", "gam", "phi_t", "R", "T"]
+    names = ["dlt", "sin_2kl", "cos_2kl", "cos_kl", "gam", "phi_t", "R", "T"]
     lazy = _ClosedForm(E, V0, a, l, 1.0, *_extended_kinematics(E, V0, 1.0))
     lazy.magR2
     got = {name: _bits(getattr(lazy, name)) for name in names}
     fresh = _new_record(E, V0, a, l, 1.0)
     assert {name: _bits(getattr(fresh, name)) for name in reversed(names)} == got
+
+
+def _exact(x):
+    """The mpmath value of a longdouble, exactly: its double head plus the exact remainder."""
+    mp = pytest.importorskip("mpmath")
+    head = float(x)
+    return mp.mpf(head) + mp.mpf(float(x - np.longdouble(head)))
+
+
+def test_double_angle_terms_within_a_few_ulps_of_mpmath():
+    # sin 2kl and cos 2kl come from sin kl and cos kl by identities, where cos 2kl -> 0
+    # (kl near odd multiples of pi/4) and at kl ~ 8000, as in long separation sweeps.
+    mp = pytest.importorskip("mpmath")
+    k = float(_extended_kinematics(1.8, 1.5, 1.0)[0])
+    kl = np.concatenate([np.arange(1, 9), np.arange(10184, 10189)]) * (np.pi / 4)
+    l = np.concatenate([kl, np.linspace(7999.0, 8001.0, 9)]) / k
+    l = np.concatenate([l, np.nextafter(l, 0.0), np.nextafter(l, np.inf)])
+    rec = _ClosedForm(1.8, 1.5, 0.7, l, 1.0, *_extended_kinematics(1.8, 1.5, 1.0))
+    tol = 4 * float(np.finfo(np.longdouble).eps)   # measured worst 1.2 eps on 6000 such points
+    with mp.workdps(40):
+        for x, s2, c2 in zip(rec.kl, rec.sin_2kl, rec.cos_2kl):
+            x = _exact(x)
+            assert abs(_exact(s2) - mp.sin(2 * x)) <= tol, float(x)
+            assert abs(_exact(c2) - mp.cos(2 * x)) <= tol, float(x)

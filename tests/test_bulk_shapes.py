@@ -77,7 +77,7 @@ def test_reduced_shape_value_error_names_full_index():
 
 # SHA-256 of the float64 bytes of the bulk outputs on a fixed random grid.
 # Like the figure CSV pins, it holds for the 80-bit x87 longdouble build.
-BULK_SHA256 = "5682139027ec94af7a789ca3d9ea22e4a1e7d9b095eb2d19f3dc9a5fc4dc8c0b"
+BULK_SHA256 = "0deaeecdca3ec0c403f33531ac17e294905e9b1291ba5aa910a84f5456dc2b0c"
 
 
 @pytest.mark.skipif(

@@ -332,7 +332,7 @@ def test_bulk_times_matches_scalar():
 # each path has its own pin.  The
 # seed's grid holds points where the NR prefactor m/k^2 rounds differently
 # for k**2 (C pow) and k*k, so the pin also sees that choice.
-SCALAR_SHA256 = "2c61431d80acc23e9797061015ef31ac680de7c6e00ec07e25385b20a62e9828"
+SCALAR_SHA256 = "e7838d2f95737ac566976e34890b01f03e54b0ba712ac329a6ffb8b63dd62ee4"
 
 
 @pytest.mark.skipif(

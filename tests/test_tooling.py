@@ -1,7 +1,7 @@
 """Repository tooling: the demos run, the oracle stays independent of the closed forms,
 each CLI key is declared once, no public numerics helper is dead, every package export
-resolves, the one-point memo is the only cache kept across calls, and the CSV number
-format is written in the renderer alone."""
+resolves, the one-point memo is the only cache kept across calls, the CSV number
+format is written in the renderer alone, and a failing hypothesis test fails cleanly."""
 
 import argparse
 import ast
@@ -69,6 +69,31 @@ def test_one_phase_formula_and_one_branch_rule():
     assert _calls("arctan2") == ["amplitudes.py"]
     assert _calls("unwrap") == []
     assert _calls("rint") == ["numerics.py"]
+
+
+def test_one_sine_and_one_cosine_in_the_closed_forms():
+    # The closed-form record takes sin 2kl and cos 2kl from sin kl and cos kl.
+    assert _calls("sin").count("amplitudes.py") == 1
+    assert _calls("cos").count("amplitudes.py") == 1
+
+
+def test_a_failing_hypothesis_test_fails_without_aborting_the_session(tmp_path):
+    # On failure the hypothesis plugin imports libcst, whose DeprecationWarning must not
+    # become an INTERNALERROR under the repository's filterwarnings = ["error"].
+    (tmp_path / "test_given.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(database=None, derandomize=True, max_examples=5)\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n    assert n != n\n\n"
+        "def test_after():\n    pass\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "test_given.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr, run.stdout
+    assert run.returncode == 1 and "1 failed, 1 passed" in run.stdout, run.stdout
 
 
 def test_every_numerics_helper_has_a_package_user():
