@@ -35,9 +35,10 @@ on 2 x 10^6 random evanescent points).
 
 Every formula above is written once, in the record `_prepare` returns:
 the scalar functions, the bulk ones and the times are all views of it.
-It calls one sine and one cosine, of kl (sin kl eagerly, cos kl on first
-use), and takes sin 2kl and cos 2kl from them by the double-angle
-identities in extended precision.
+It calls one sine and one cosine, of kl (both eagerly), and takes sin 2kl
+and cos 2kl from them by the double-angle identities in extended
+precision, in the step that builds Gamma and Delta; |T|^2 comes in the
+step that builds |R|^2.
 0-d inputs are evaluated as numpy scalars on the same code path as arrays.
 
 A one-point call keeps its record (`numerics._LastPoint`), and the next
@@ -140,16 +141,15 @@ def _extended_kinematics(E, V0, mass):
     in extended precision: alpha'/alpha carries (E - V0)/q^2, which grows
     without bound as q -> 0.
     """
+    # Only E is converted (~0.5 us a scalar): V0 and mass enter the extended arithmetic exactly.
     El = np.asarray(E, dtype=_LD)[()]
-    Vl = np.asarray(V0, dtype=_LD)[()]
-    ml = np.asarray(mass, dtype=_LD)[()]
-    k = np.sqrt((El - ml) * (El + ml))
-    diff = El - Vl
-    q = np.sqrt((ml - diff) * (ml + diff))
-    alpha = (k / q) * (diff + ml) / (El + ml)
+    k = np.sqrt((El - mass) * (El + mass))
+    diff = El - V0
+    q = np.sqrt((mass - diff) * (mass + diff))
+    alpha = (k / q) * (diff + mass) / (El + mass)
     dk = El / k
     dq = -diff / q
-    return k, q, alpha, dk, dq, dk / k - dq / q + 1.0 / (diff + ml) - 1.0 / (El + ml)
+    return k, q, alpha, dk, dq, dk / k - dq / q + 1.0 / (diff + mass) - 1.0 / (El + mass)
 
 
 class _Hyperbolics(NamedTuple):
@@ -170,23 +170,36 @@ class _computed_once(cached_property):
         return value
 
 
+class _set_by:
+    """A field that the first read of the field ``trigger`` sets on the way."""
+
+    def __init__(self, trigger):
+        self.trigger = trigger
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        getattr(obj, self.trigger)
+        return obj.__dict__[self.name]
+
+
 class _ClosedForm:
     """The closed solution at one point or over a grid: every formula, once.
 
     Eager: the validated inputs (E, V0, a, l, mass), the span 2a + l, the
     extended-precision k, q, alpha and their energy slopes ``dk`` = k',
     ``dq`` = q', ``dlog_alpha`` = alpha'/alpha, ``al2`` = alpha^2,
-    ``one_al2`` = 1 + alpha^2, the hyperbolics, kl and sin kl.  Everything
-    else is computed on first use: cos kl, then sin 2kl = 2 sin kl cos kl
-    and cos 2kl = (cos kl - sin kl)(cos kl + sin kl) from it, the rescaled
-    Gamma and Delta (``gam``, ``dlt``), beta_hat and its kl-slope
-    ``dbeta_hat``, and the amplitudes, so |R|^2 alone reads neither Gamma,
-    Delta nor sin 2kl.  The identities are within a few longdouble ulps,
-    absolute, of sinl and cosl at 2kl (at most 1.2 eps against mpmath of
-    the same kl up to 8000; sinl and cosl, 0.26 eps), and the rounding of
-    kl itself, about ulp(kl), dominates both.  Each quantity keeps the
-    shape of its inputs; real ones stay in extended precision, while U, T
-    and R are complex128.
+    ``one_al2`` = 1 + alpha^2, the hyperbolics, kl, sin kl and cos kl.
+    The rest is computed on first use, in the groups its readers read:
+    the rescaled Gamma (``gam``) sets Delta (``dlt``), sin 2kl =
+    2 sin kl cos kl and cos 2kl = (cos kl - sin kl)(cos kl + sin kl), and
+    |R|^2 sets |T|^2, so |R|^2 alone reads neither Gamma, Delta nor sin 2kl.
+    The identities are within a few longdouble ulps, absolute, of sinl and
+    cosl at 2kl (at most 1.2 eps against mpmath of the same kl up to 8000;
+    sinl and cosl, 0.26 eps), and the rounding of kl itself, about
+    ulp(kl), dominates both.  Each quantity keeps the shape of its inputs;
+    real ones stay in extended precision, while U, T and R are complex128.
     """
 
     def __init__(self, E, V0, a, l, mass, k, q, alpha, dk, dq, dlog_alpha):
@@ -197,33 +210,23 @@ class _ClosedForm:
         self.one_al2 = 1.0 + al2
         self.span = 2.0 * a + l
         self.hyp = _hyperbolics(q, a)
-        self.kl = k * l
-        self.sin_kl = np.sin(self.kl)
-
-    @_computed_once
-    def cos_kl(self):
-        return np.cos(self.kl)
-
-    @_computed_once
-    def sin_2kl(self):
-        return 2.0 * self.sin_kl * self.cos_kl
-
-    @_computed_once
-    def cos_2kl(self):
-        # The product form keeps the absolute error of cos^2 - sin^2 where cos 2kl -> 0.
-        return (self.cos_kl - self.sin_kl) * (self.cos_kl + self.sin_kl)
+        self.kl = kl = k * l
+        self.sin_kl = np.sin(kl)
+        self.cos_kl = np.cos(kl)
 
     @_computed_once
     def gam(self):
-        """Gamma e^{-2qa}; sets Delta e^{-2qa} (``dlt``) on the way, as every reader reads both."""
-        al2, one, hyp, sin_kl = self.al2, self.one_al2, self.hyp, self.sin_kl
-        self.dlt = 4.0 * self.alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * self.sin_2kl * hyp.s1sq
+        """Gamma e^{-2qa}; sets Delta e^{-2qa}, sin 2kl and cos 2kl on the way, as the phase time reads all four."""
+        al2, one, hyp, sin_kl, cos_kl = self.al2, self.one_al2, self.hyp, self.sin_kl, self.cos_kl
+        self.sin_2kl = sin_2kl = 2.0 * sin_kl * cos_kl
+        # The product form keeps the absolute error of cos^2 - sin^2 where cos 2kl -> 0.
+        self.cos_2kl = (cos_kl - sin_kl) * (cos_kl + sin_kl)
+        self.dlt = 4.0 * self.alpha * (1.0 - al2) * hyp.s2 + 2.0 * one * one * sin_2kl * hyp.s1sq
         return 8.0 * al2 * hyp.c2 - 4.0 * one * one * sin_kl * sin_kl * hyp.s1sq
 
-    @_computed_once
-    def dlt(self):
-        self.gam
-        return self.dlt
+    dlt = _set_by("gam")
+    sin_2kl = _set_by("gam")
+    cos_2kl = _set_by("gam")
 
     @_computed_once
     def gd2(self):
@@ -259,7 +262,8 @@ class _ClosedForm:
         al2 = np.float64(self.al2)
         gam, dlt = np.float64(self.gam), np.float64(self.dlt)
         ka = np.float64(self.k * self.a)
-        return 8.0 * al2 * np.exp(-2.0j * ka) / (gam + 1.0j * dlt)
+        # Not gam + 1j * dlt: the same bits through numpy's generic path, about ten times slower.
+        return 8.0 * al2 * np.exp(-2.0j * ka) / (1.0j * dlt + gam)
 
     @_computed_once
     def T(self):
@@ -275,21 +279,19 @@ class _ClosedForm:
         """Principal-branch transmission phase kl - atan2(Delta, Gamma)."""
         return self.kl - np.arctan2(self.dlt, self.gam)
 
-    # |T|^2 = 1 / (1 + beta^2) and |R|^2 = beta^2 / (1 + beta^2): they sum to one by construction.
-    @_computed_once
-    def mag_den(self):
-        """e^{-4qa} + beta_hat^2, the one denominator of both; sets ``beta_sq`` on the way."""
-        self.beta_sq = self.beta_hat**2
-        return self.hyp.e4 + self.beta_sq
-
+    # |T|^2 = 1 / (1 + beta^2) and |R|^2 = beta^2 / (1 + beta^2) over the one denominator
+    # e^{-4qa} + beta_hat^2: they sum to one by construction.
     @_computed_once
     def magT2(self):
-        return self.hyp.e4 / self.mag_den
+        return self.hyp.e4 / (self.hyp.e4 + self.beta_hat**2)
 
     @_computed_once
     def magR2(self):
-        den = self.mag_den
-        return self.beta_sq / den
+        """|R|^2; sets |T|^2 on the way, as every reader of |R|^2 but the resonance search reads both."""
+        beta_sq = self.beta_hat**2
+        den = self.hyp.e4 + beta_sq
+        self.magT2 = self.hyp.e4 / den
+        return beta_sq / den
 
 
 _last_record = _LastPoint()
@@ -456,8 +458,8 @@ def scattering_solution(
         T=complex(rec.T),
         R=complex(rec.R),
         phi_t=phi,
+        magR2=float(rec.magR2),   # before magT2, which it sets on the way
         magT2=float(rec.magT2),
-        magR2=float(rec.magR2),
     )
 
 
@@ -536,6 +538,7 @@ def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
 
 
 def _amplitude_fields(rec: _ClosedForm) -> dict:
+    magR2 = rec.magR2.astype(float)   # first: it sets |T|^2 on the way
     return {
         "k": rec.k.astype(float),
         "q": rec.q.astype(float),
@@ -544,5 +547,5 @@ def _amplitude_fields(rec: _ClosedForm) -> dict:
         "R": rec.R,
         "phi_t": rec.phi_t.astype(float),
         "magT2": rec.magT2.astype(float),
-        "magR2": rec.magR2.astype(float),
+        "magR2": magR2,
     }

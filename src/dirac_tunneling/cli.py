@@ -253,8 +253,10 @@ def _render_rows(x: np.ndarray, tail: str = "") -> str:
     rows, cols = x.shape
     ok = np.isfinite(x) & (x != 0.0)
     a = np.where(ok, np.abs(x), 1.0)
-    k = np.clip(11 - np.floor(np.log10(a)).astype(np.int64), -22, 22)
-    y = a * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
+    k = np.clip(11 - np.floor(np.log10(a)).astype(np.int64), -44, 44)
+    k1 = np.clip(k, -22, 22)   # past |k| = 22, 10^k = 10^k1 10^(k - k1): two exact powers of ten
+    y = a * _POW10[np.maximum(k1, 0)] / _POW10[np.maximum(-k1, 0)]
+    y = y * _POW10[np.maximum(k - k1, 0)] / _POW10[np.maximum(k1 - k, 0)]
     n = np.floor(y + 0.5)
     slow = ~ok | (y < 1e11) | (n > 1e12) | (np.abs(n - y) >= 0.5 - 2.0 ** -11)
     carry = n == 1e12
@@ -273,7 +275,7 @@ def _render_rows(x: np.ndarray, tail: str = "") -> str:
         cell = ("%.11e" % x[r, c]).encode("ascii").ljust(_CELL - 1, b"\0") + b","
         words[r, c] = np.frombuffer(cell, "<u4")
     buf[:, -1] = ord("\n")
-    return buf.tobytes().replace(b"\0", b"").decode("ascii")
+    return buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _table_chunks(names: list[str], table, constants=()):
@@ -289,11 +291,12 @@ def _render_table(names: list[str], table, constants=()) -> str:
     """CSV text of a float table: the header line, then one ``%.11e`` row per line.
 
     Bytes equal ``f"{v:.11e}"`` per value: y = |x| 10^(11-e), e = floor(log10|x|),
-    |11 - e| <= 22, is one correctly rounded product or quotient by an exact power
-    of ten, within 2^-14 of exact for y <= 1e12; more than 2^-11 from a tie, its
-    rounding holds the exact value's 12 digits (10^12 carries to 10^11, e + 1), split
-    exactly by integer division.  Zero, inf, nan, out-of-range and near-tie values
-    take Python's ``%``.  ``constants`` are trailing columns rendered once per table.
+    |11 - e| <= 44, is one correctly rounded product or quotient by an exact power
+    of ten (two, 10^22 and the rest, past |11 - e| = 22), within 2^-12 of exact for
+    y <= 1e12; more than 2^-11 from a tie, its rounding holds the exact value's 12
+    digits (10^12 carries to 10^11, e + 1), split exactly by integer division.  Zero,
+    inf, nan, out-of-range and near-tie values take Python's ``%``.  ``constants`` are
+    trailing columns rendered once per table.
     """
     return "".join(_table_chunks(names, table, constants))
 

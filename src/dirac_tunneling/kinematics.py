@@ -88,6 +88,10 @@ class BarrierSystem:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
+        # One chained test accepts valid input (NaN fails it); the checks below word the error.
+        if 0.0 < self.V0 < math.inf and 0.0 <= self.a < math.inf and 0.0 <= self.l < math.inf \
+                and 0.0 < self.mass < math.inf:
+            return
         for name in ("V0", "a", "l", "mass"):
             value = getattr(self, name)
             if not math.isfinite(value):

@@ -89,8 +89,8 @@ _PHASES = {"1": (0, 0, 0), "e^-2qa": (1, 0, 0), "e^ika": (0, 1, 0), "e^-ika": (0
 _P, _ZA, _ZL = np.array(list(_PHASES.values()), dtype=float).T
 _FACTORS = (*_PHASES, *("al" if name == "1" else "al " + name for name in _PHASES))
 # Row i of [M | b], two spinor components at each interface, as (column, constant,
-# factor) triples; column 8 is the right-hand side b.  [M' | b'] is the same table with
-# each factor replaced by its E-derivative.
+# factor) triples; column 8 is the right-hand side b.  [M' | b'], columns 9 to 17 of the
+# gathered table, is the same with each factor replaced by its E-derivative.
 _ROWS = (
     ((0, -1, "1"), (1, 1, "1"), (2, 1, "e^-2qa"), (8, 1, "1")),
     ((0, 1, "al"), (1, 1j, "1"), (2, -1j, "e^-2qa"), (8, 1, "al")),
@@ -101,16 +101,18 @@ _ROWS = (
     ((5, 1, "1"), (6, 1, "1"), (7, -1, "e^ik(2a+l)")),
     ((5, 1j, "1"), (6, -1j, "1"), (7, -1, "al e^ik(2a+l)")),
 )
-# Empty entries have constant 0 on the factor "1".
+# Empty entries have constant 0 on the factor "1"; `_tm_system` puts derivatives after factors.
 _CONST = np.zeros((8, 9), dtype=complex)
 _INDEX = np.zeros((8, 9), dtype=np.intp)
 for _i, _row in enumerate(_ROWS):
     for _j, _c, _f in _row:
         _CONST[_i, _j], _INDEX[_i, _j] = _c, _FACTORS.index(_f)
+_CONST = np.concatenate((_CONST, _CONST), axis=1)
+_INDEX = np.concatenate((_INDEX, _INDEX + len(_FACTORS)), axis=1)
 
 
 def _tm_system(E, V0, a, l, mass):
-    """([M | b], [M' | b'], q) of broadcast valid points, shaped ``(..., 8, 9)``.
+    """([M | b | M' | b'], q) of broadcast valid points, the table shaped ``(..., 8, 18)``.
 
     A factor alpha^s e^{-2qa p + ikz} has the logarithmic E-derivative
     s alpha'/alpha - 2a q' p + i k' z, with k' = E/k, q' = -(E - V0)/q and
@@ -129,7 +131,7 @@ def _tm_system(E, V0, a, l, mass):
     ikp = 1.0j * dk
     dlog = outer(-2.0 * a * dq, _P) + outer(ikp * a, _ZA) + outer(ikp * l, _ZL)
     slopes = factors * np.concatenate((dlog, dlog + dlog_al[..., None]), axis=-1)
-    return _CONST * factors[..., _INDEX], _CONST * slopes[..., _INDEX], q
+    return _CONST * np.concatenate((factors, slopes), axis=-1)[..., _INDEX], q
 
 
 def _tm_rescaled(E, V0, a, l, mass: float = 1.0):
@@ -142,8 +144,8 @@ def _tm_rescaled(E, V0, a, l, mass: float = 1.0):
     any qa.  x' = dx/dE = M^-1 (b' - M' x) comes from the same solve: its
     right-hand side is [b | M' | b'].
     """
-    system, slope, q = _tm_system(E, V0, a, l, mass)
-    sol = np.linalg.solve(system[..., :8], np.concatenate((system[..., 8:], slope), axis=-1))
+    table, q = _tm_system(E, V0, a, l, mass)
+    sol = np.linalg.solve(table[..., :8], table[..., 8:])
     n = sol.ndim - 2
     lead = (n,) + tuple(range(n))
     # x' = M^-1 b' - (M^-1 M') x

@@ -170,11 +170,13 @@ def find_resonances(
 ) -> list[tuple[float, float, float, float]]:
     """Locate resonances (zeros of R) in the separation l.
 
-    Scans |R|^2 on a uniform grid of ``scan_points`` (at least 3) over
+    Scans |beta_hat| on a uniform grid of ``scan_points`` (at least 3) over
     ``l_range`` and places one resonance at every strict interior minimum
     of the scan, then evaluates the times at all of them in one bulk call.
     Returns (l, |R|, tau_p, tau_d) per resonance, ordered in l.  At a
-    resonance R = 0, so tau_i vanishes and tau_p = tau_d there.
+    resonance R = 0, so tau_i vanishes and tau_p = tau_d there.  |R|^2 =
+    beta_hat^2 / (e^{-4qa} + beta_hat^2) has the same strict minima, but
+    rounds to 1.0 between the dips once qa exceeds about 9.
 
     R vanishes with beta, which in l is a pure sinusoid C sin(kl - theta):
     its zeros solve tan(kl) = -2 alpha coth(qa) / (1 - alpha^2) and are
@@ -194,8 +196,12 @@ def find_resonances(
     (over l in [0.01, 0.01 + 1429 pi/k] at E = 1.8, V0 = 1.5, a = 0.7 the
     default grid finds 406 of the 1429).
 
-    Degenerate systems with a = 0 have R identically zero: |R|^2 then has
-    no strict minima and the result is an empty list.
+    The listed |R| is that at the double nearest the zero, about
+    e^{2qa} k |d beta_hat / d(kl)| ulp(l) / 2: 1e-16 to 1e-12 at qa = 0.67
+    with l up to 3000, 1e-5 to 1e-4 at qa = 13.4 with l < 10.
+
+    Degenerate systems with a = 0 have R identically zero: |beta_hat| then
+    has no strict minima and the result is an empty list.
     """
     lo, hi = float(l_range[0]), float(l_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -214,16 +220,13 @@ def find_resonances(
     def record(l):
         return _ClosedForm(E, V0, a, l, mass, *kinematics)
 
-    def mag_r2(l):
-        # bulk_amplitudes' magR2, without its other outputs.
-        return np.float64(record(l).magR2)
-
-    r2 = mag_r2(grid)
-    i = 1 + np.flatnonzero((r2[1:-1] < r2[:-2]) & (r2[1:-1] < r2[2:]))
+    beta = np.abs(record(grid).beta_hat)
+    i = 1 + np.flatnonzero((beta[1:-1] < beta[:-2]) & (beta[1:-1] < beta[2:]))
     minima = record(grid[i])
     l_star = np.float64(minima.l - np.arctan(minima.beta_hat / minima.dbeta_hat) / minima.k)
     times = _bulk_times(E, V0, a, l_star, mass)
-    columns = (l_star, np.sqrt(mag_r2(l_star)), times["tau_p"], times["tau_d"])
+    # bulk_amplitudes' magR2, without its other outputs.
+    columns = (l_star, np.sqrt(np.float64(record(l_star).magR2)), times["tau_p"], times["tau_d"])
     return list(zip(*(column.tolist() for column in columns)))
 
 

@@ -206,7 +206,8 @@ def _check_tau_i(E, V0, a, l, from_r, from_h, unit):
     # deviation > tol * max(|from_r|, |from_h|, unit), bit for bit, with no ufunc call on a scalar
     bad = ((deviation > _CONSISTENCY_TOL * abs(from_r))
            & (deviation > _CONSISTENCY_TOL * abs(from_h)) & (deviation > _CONSISTENCY_TOL * unit))
-    if np.count_nonzero(bad):
+    # bool() at one point: np.count_nonzero on a 0-d bool costs ~0.9 us, np.any more.
+    if bool(bad) if bad.ndim == 0 else np.count_nonzero(bad):
         ratio = deviation / np.maximum(np.maximum(abs(from_r), abs(from_h)), unit)
         i = int(np.argmax(ratio))
         e, v, w, s = (float(np.broadcast_to(x, ratio.shape).flat[i]) for x in (E, V0, a, l))
@@ -297,13 +298,11 @@ class _NRWindowError(ValueError):
 
 def _nr_kinematics(E_kin, V0, mass):
     """Schroedinger (k, q, alpha = k/q) and their slopes in E_kin, as `amplitudes` gives them."""
-    Ek = np.asarray(E_kin, dtype=np.longdouble)[()]
-    Vl = np.asarray(V0, dtype=np.longdouble)[()]
-    ml = np.asarray(mass, dtype=np.longdouble)[()]
-    k = np.sqrt(2.0 * ml * Ek)
-    q = np.sqrt(2.0 * ml * (Vl - Ek))
-    dk = ml / k
-    dq = -ml / q
+    Ek = np.asarray(E_kin, dtype=np.longdouble)[()]   # V0 and mass enter exactly, unconverted
+    k = np.sqrt(2.0 * mass * Ek)
+    q = np.sqrt(2.0 * mass * (V0 - Ek))
+    dk = mass / k
+    dq = -mass / q
     return k, q, k / q, dk, dq, dk / k - dq / q
 
 

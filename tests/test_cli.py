@@ -264,6 +264,16 @@ def test_render_table_is_exact_on_ties_carries_and_extreme_exponents():
             assert _lines(cli._render_table(names, rows, constants)) == expected
 
 
+def test_render_table_matches_percent_format_across_sixty_decades():
+    # Past |11 - e| = 22 the fast path scales by two powers of ten: 10^5 values of
+    # random sign and magnitude over 10^-60 .. 10^60, against Python's % per value.
+    rng = np.random.default_rng(2003)
+    values = rng.choice([-1.0, 1.0], 10**5) * 10.0 ** rng.uniform(-60.0, 60.0, 10**5)
+    text = cli._render_table(["x", "y", "z", "w"], values.reshape(-1, 4))
+    assert text == "x,y,z,w\n" + "".join(
+        ",".join("%.11e" % v for v in row) + "\n" for row in values.reshape(-1, 4).tolist())
+
+
 def test_sweep_across_row_blocks_matches_per_value_rendering(tmp_path, capsys):
     # 20000 rows are four full row blocks and a partial one, written to a file and to stdout.
     argv = ["sweep", "--swept", "a", "--lo", "0.01", "--hi", "6", "--points", "20000",

@@ -141,6 +141,29 @@ def test_barrier_system_validation():
             BarrierSystem(**bad)
 
 
+@pytest.mark.parametrize("fields, message", [
+    *(({name: value}, f"{name} must be finite, got {value!r}")
+      for name in ("V0", "a", "l", "mass") for value in (math.nan, math.inf, -math.inf)),
+    (dict(V0=0.0), "V0 must be positive, got 0.0"),
+    (dict(V0=-1.5), "V0 must be positive, got -1.5"),
+    (dict(mass=0.0), "mass must be positive, got 0.0"),
+    (dict(mass=-1.0), "mass must be positive, got -1.0"),
+    (dict(a=-0.1), "barrier width a must be >= 0, got -0.1"),
+    (dict(l=-5e-324), "separation l must be >= 0, got -5e-324"),
+    (dict(V0=-1.0, a=math.nan), "a must be finite, got nan"),   # finiteness is checked first
+])
+def test_barrier_system_rejects_each_bad_field_with_its_message(fields, message):
+    # The one-comparison acceptance test must leave every rejection as it was worded.
+    with pytest.raises(ValueError) as exc:
+        BarrierSystem(**{**dict(V0=1.5, a=0.7, l=0.7), **fields})
+    assert str(exc.value) == message
+
+
+def test_barrier_system_accepts_negative_zero_widths():
+    s = BarrierSystem(V0=1.5, a=-0.0, l=-0.0)
+    assert math.copysign(1.0, s.a) == math.copysign(1.0, s.l) == -1.0
+
+
 def test_barrier_system_frozen():
     s = BarrierSystem(V0=1.5, a=0.7, l=0.7)
     with pytest.raises(AttributeError):

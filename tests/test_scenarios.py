@@ -267,6 +267,23 @@ def test_find_resonances_equals_one_at_a_time_search(V0, a, E, l_range, hits):
     assert all(type(x) is float for row in got for x in row)
 
 
+def test_find_resonances_at_an_opaque_barrier():
+    # qa = 13.4: |R|^2 rounds to 1.0 at every scan point, |beta_hat| does not.
+    system = BarrierSystem(V0=1.5, a=14.0, l=0.01)
+    kp = kinematic_point(1.8, system)
+    qa, al = kp.q * system.a, kp.alpha
+    theta = math.atan2(-2.0 * al / math.tanh(qa), 1.0 - al * al)
+    zeros = [(theta + n * math.pi) / kp.k for n in range(-2, 10)]
+    zeros = [z for z in zeros if 0.01 <= z <= 10.0]
+    r2 = bulk_amplitudes(1.8, system.V0, system.a, np.linspace(0.01, 10.0, 1024))["magR2"]
+    assert np.all(r2 == 1.0)
+    hits = find_resonances(system, 1.8, (0.01, 10.0))
+    assert len(zeros) == len(hits) == 5
+    for (l_star, absR, tau_p, tau_d), l_n in zip(hits, zeros):
+        assert abs(l_star - l_n) <= 1e-8
+        assert absR < 1e-3 and abs(tau_p - tau_d) <= 1e-12 * tau_p
+
+
 @pytest.mark.skipif(
     np.finfo(np.longdouble).nmant != 63, reason="hash pinned for the 80-bit longdouble build"
 )

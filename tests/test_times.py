@@ -157,6 +157,29 @@ def test_interference_guard_trips_on_corruption(monkeypatch):
     assert "grid index 1: E=1.8, V0=1.5, a=1.25, l=0.7" in message
 
 
+@pytest.mark.parametrize("factor, raises", [(1.0 + 1e-7, True), (1.0 + 1e-9, False)])
+def test_one_point_guard_decides_on_the_threshold(monkeypatch, factor, raises):
+    # The one-point check takes a scalar branch: it must still trip above 1e-8 and only there.
+    orig = times_mod._h2_h3
+    monkeypatch.setattr(times_mod, "_h2_h3", lambda parts: (orig(parts)[0] * factor, orig(parts)[1]))
+    s = BarrierSystem(V0=1.5, a=0.7, l=0.7)
+    if raises:
+        with pytest.raises(ConsistencyError) as exc:
+            time_report(1.8, s)
+        assert "grid index" not in str(exc.value)
+        assert str(exc.value).endswith("E=1.8, V0=1.5, a=0.7, l=0.7")
+    else:
+        assert time_report(1.8, s).tau_i == self_interference_delay(1.8, s)
+
+
+def test_time_report_on_zero_d_numpy_inputs_equals_floats():
+    for E, V0, a, l in zip(*(x.tolist() for x in random_evanescent_grid(50, seed=21).values())):
+        expected = repr(time_report(E, BarrierSystem(V0=V0, a=a, l=l)))
+        for wrap in (np.float64, np.array):
+            system = BarrierSystem(V0=wrap(V0), a=wrap(a), l=wrap(l), mass=wrap(1.0))
+            assert repr(time_report(wrap(E), system)) == expected
+
+
 # Opaque near-resonance points, as (seed, flat index) in
 # random_evanescent_grid(10**6, seed), where the expanded h2/h3 sums
 # cancelled to ~1e-13 of their terms and the dual-form check raised
