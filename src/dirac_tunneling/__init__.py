@@ -20,7 +20,7 @@ from .kinematics import (
     kinematic_point,
     wavenumber_k,
 )
-from .numerics import PhaseTracker, continue_branch
+from .numerics import continue_branch
 from .amplitudes import (
     RegionCoefficients,
     ScatteringSolution,
@@ -79,7 +79,6 @@ __all__ = [
     "FieldSample",
     "InterfaceMatrix",
     "KinematicPoint",
-    "PhaseTracker",
     "Regime",
     "RegimeError",
     "RegionCoefficients",

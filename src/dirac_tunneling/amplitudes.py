@@ -59,16 +59,18 @@ validated once as a whole, and only private record code runs on the
 pool.  Every output is bit for bit what one evaluation of the whole grid
 gives, whatever the number of cores; nothing about this is configurable.
 
-Phases computed by atan2 are defined modulo pi.  Single-point calls return
-the principal branch; a caller stepping through points one at a time can
-thread a PhaseTracker through `transmission_phase` / `scattering_solution`,
-and `scenarios.run_sweep` continues the whole bulk phase array with
-`numerics.continue_branch`, which applies the same rule in one pass.
+The region coefficients A, B, C, D, F, G are record fields too
+(`_coefficient_fields`): `region_coefficients` is their 0-d view, and
+`verify` reads them over its whole grid in one bulk call.
+
+Phases computed by atan2 are defined modulo pi.  Every call returns the
+principal branch; `scenarios.run_sweep` continues a swept phase with
+`numerics.continue_branch`, and a caller stepping through points one at
+a time applies the same rule to the principal values it collected.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import os
 import threading
@@ -79,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kinematics import BarrierSystem, _validate
-from .numerics import PhaseTracker, _LastPoint
+from .numerics import _LastPoint
 
 __all__ = [
     "RegionCoefficients",
@@ -97,9 +99,8 @@ __all__ = [
 class ScatteringSolution:
     """Amplitudes and transmission phase at one energy.
 
-    ``phi_t`` is the transmission phase in radians (principal branch
-    unless a tracker was threaded through), ``magT2`` and ``magR2`` the
-    transmission and reflection probabilities.
+    ``phi_t`` is the transmission phase in radians (principal branch),
+    ``magT2`` and ``magR2`` the transmission and reflection probabilities.
     """
 
     T: complex
@@ -194,12 +195,14 @@ class _ClosedForm:
     The rest is computed on first use, in the groups its readers read:
     the rescaled Gamma (``gam``) sets Delta (``dlt``), sin 2kl =
     2 sin kl cos kl and cos 2kl = (cos kl - sin kl)(cos kl + sin kl), and
-    |R|^2 sets |T|^2, so |R|^2 alone reads neither Gamma, Delta nor sin 2kl.
+    |R|^2 sets |T|^2, so |R|^2 alone reads neither Gamma, Delta nor sin 2kl;
+    the rescaled gap coefficient c_hat sets d_hat.
     The identities are within a few longdouble ulps, absolute, of sinl and
     cosl at 2kl (at most 1.2 eps against mpmath of the same kl up to 8000;
     sinl and cosl, 0.26 eps), and the rounding of kl itself, about
     ulp(kl), dominates both.  Each quantity keeps the shape of its inputs;
-    real ones stay in extended precision, while U, T and R are complex128.
+    real ones stay in extended precision, while U, T, R, c_hat and d_hat
+    are double complex.
     """
 
     def __init__(self, E, V0, a, l, mass, k, q, alpha, dk, dq, dlog_alpha):
@@ -273,6 +276,21 @@ class _ClosedForm:
     def R(self):
         beta_d, k_d = np.float64(self.beta_hat), np.float64(self.k)
         return -1.0j * beta_d * np.exp(1.0j * k_d * self.span) * self.u
+
+    @_computed_once
+    def c_hat(self):
+        """C e^{-ika} e^{qa} / U = [cosh qa + i ((1 - alpha^2)/2alpha) sinh qa] e^{-qa}, double complex.
+
+        Sets d_hat = D e^{-ik(3a+2l)} e^{qa} / U = -i ((1 + alpha^2)/2alpha) sinh(qa) e^{-qa}
+        on the way.  Both are O(1) at any qa.
+        """
+        e2, al = np.float64(self.hyp.e2), np.float64(self.alpha)
+        half_sinh = (1.0 - e2) / (4.0 * al)     # sinh(qa) e^{-qa} / 2alpha
+        al2 = al * al
+        self.d_hat = -1.0j * ((1.0 + al2) * half_sinh)
+        return 1.0j * ((1.0 - al2) * half_sinh) + 0.5 * (1.0 + e2)
+
+    d_hat = _set_by("c_hat")
 
     @_computed_once
     def phi_t(self):
@@ -429,35 +447,22 @@ def reflection(E: float, system: BarrierSystem) -> complex:
     return scattering_solution(E, system).R
 
 
-def transmission_phase(
-    E: float,
-    system: BarrierSystem,
-    branch_state: PhaseTracker | None = None,
-) -> float:
-    """Transmission phase phi_t = kl - atan2(Delta, Gamma).
+def transmission_phase(E: float, system: BarrierSystem) -> float:
+    """Transmission phase phi_t = kl - atan2(Delta, Gamma), principal branch.
 
-    With ``branch_state=None`` the principal branch is returned.  Passing
-    a PhaseTracker continues the branch across successive calls so that a
-    swept phi_t has no pi jumps; the tracker is owned by one sweep and
-    must not be shared.
+    To continue it along a sequence of points, pass the principal values
+    to `numerics.continue_branch`.
     """
-    return scattering_solution(E, system, branch_state).phi_t
+    return scattering_solution(E, system).phi_t
 
 
-def scattering_solution(
-    E: float,
-    system: BarrierSystem,
-    branch_state: PhaseTracker | None = None,
-) -> ScatteringSolution:
+def scattering_solution(E: float, system: BarrierSystem) -> ScatteringSolution:
     """Amplitudes, probabilities and phase in one evaluation."""
     rec = _prepare(E, system.V0, system.a, system.l, system.mass)
-    phi = float(rec.phi_t)
-    if branch_state is not None:
-        phi = branch_state.update(phi)
     return ScatteringSolution(
         T=complex(rec.T),
         R=complex(rec.R),
-        phi_t=phi,
+        phi_t=float(rec.phi_t),
         magR2=float(rec.magR2),   # before magT2, which it sets on the way
         magT2=float(rec.magT2),
     )
@@ -474,35 +479,49 @@ def region_coefficients(E: float, system: BarrierSystem) -> RegionCoefficients:
     and A, B, F, G then come from spinor continuity at z = 0 and z = a+l.
     Internally each is assembled from O(1) rescaled pieces so the result
     is accurate at any qa; B and G underflow to zero once their true
-    magnitude drops below the subnormal range.
+    magnitude drops below the subnormal range, and F, which grows like
+    e^{ql}, overflows to infinity once ql exceeds about 709.  The 0-d view
+    of `_coefficient_fields`.
     """
-    a, l = system.a, system.l
-    rec = _prepare(E, system.V0, a, l, system.mass)
-    u = complex(rec.u)
-    k, q, al = float(rec.k), float(rec.q), float(rec.alpha)
-    e2 = float(rec.hyp.e2)            # e^{-2qa}
-    e1 = math.exp(-q * a)             # e^{-qa}
-    shrink = 1.0 - e2
-    # c_hat = cosh(qa) e^{-qa} + i (...) sinh(qa) e^{-qa}, similarly d_hat
-    c_hat = 0.5 * (1.0 + e2) + 0.25j * ((1.0 - al * al) / al) * shrink
-    d_hat = -0.25j * ((1.0 + al * al) / al) * shrink
-    span = system.span
-    eika = cmath.exp(1.0j * k * a)
+    rec = _prepare(E, system.V0, system.a, system.l, system.mass)
+    return RegionCoefficients(*map(complex, _coefficient_fields(rec).values()))
+
+
+def _coefficient_fields(rec: _ClosedForm) -> dict:
+    """A, B, C, D, F, G, T and R of the record, complex128, in `RegionCoefficients` order.
+
+    From c_hat, d_hat and U, the phases e^{ika} (of the ka that U reads) and
+    e^{ikl} (of the record's extended-precision sin kl and cos kl), and
+    e^{-qa} = sqrt(e^{-2qa}) and e^{ql} in extended precision:
+
+        A = (1/2) [(1 - i alpha) c_hat e^{2ika} + (1 + i alpha) d_hat e^{2ik(a+l)}] U,
+        B = (1/2) [(1 + i alpha) c_hat e^{2ika} + (1 - i alpha) d_hat e^{2ik(a+l)}] T,
+        C = c_hat e^{ika} e^{-qa} U,         D = d_hat e^{2ik(a+l)} e^{ika} e^{-qa} U,
+        F = (1/2) (1 - i alpha) e^{ik(2a+l)} e^{ql} U,
+        G = (1/2) (1 + i alpha) e^{ik(2a+l)} e^{-q(4a+l)} U.
+    """
+    R, T, u, c_hat = rec.R, rec.T, rec.u, rec.c_hat
+    half_i_al = 0.5j * np.float64(rec.alpha)
+    plus, minus = half_i_al + 0.5, 0.5 - half_i_al     # (1 +- i alpha) / 2
+    eika = np.exp(1.0j * np.float64(rec.k * rec.a))
+    eikl = 1.0j * np.float64(rec.sin_kl) + np.float64(rec.cos_kl)
     e2ika = eika * eika
-    e2iks = cmath.exp(2.0j * k * (a + l))
-    eikw = cmath.exp(1.0j * k * span)
-    plus = 1.0 + 1.0j * al
-    minus = 1.0 - 1.0j * al
-    return RegionCoefficients(
-        A=0.5 * (minus * c_hat * e2ika + plus * d_hat * e2iks) * u,
-        B=0.5 * e2 * (plus * c_hat * e2ika + minus * d_hat * e2iks) * u,
-        C=c_hat * eika * e1 * u,
-        D=d_hat * cmath.exp(1.0j * k * (3.0 * a + 2.0 * l)) * e1 * u,
-        F=0.5 * minus * eikw * math.exp(q * l) * u,
-        G=0.5 * plus * eikw * math.exp(-q * span) * e2 * u,
-        T=complex(rec.T),
-        R=complex(rec.R),
-    )
+    eikw = e2ika * eikl
+    c_phase = c_hat * e2ika
+    d_phase = rec.d_hat * (eikw * eikl)
+    gap = eika * u * np.float64(np.sqrt(rec.hyp.e2))
+    wave = eikw * u
+    eql = np.exp(rec.q * rec.l)
+    return {
+        "A": (minus * c_phase + plus * d_phase) * u,
+        "B": (plus * c_phase + minus * d_phase) * T,
+        "C": c_hat * gap,
+        "D": d_phase * gap,
+        "F": minus * wave * np.float64(eql),
+        "G": plus * wave * np.float64(rec.hyp.e4 / eql),
+        "T": T,
+        "R": R,
+    }
 
 
 def bulk_amplitudes(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:

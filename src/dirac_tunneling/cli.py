@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitudes import bulk_amplitudes, region_coefficients
+from .amplitudes import RegionCoefficients, _bulk, _coefficient_fields, bulk_amplitudes
 from .kinematics import BarrierSystem
 from .oracle import _oracle_stack, random_evanescent_grid
 from .scenarios import (
@@ -473,13 +473,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
 
     # The oracle side is one stacked solve with its E-derivative, which gives the
     # coefficients, the phase times and the dwell times of every point; the closed
-    # times are one bulk call, the closed coefficients are evaluated point by point.
-    closed = [region_coefficients(e, BarrierSystem(V0=v, a=w, l=s))
-              for e, v, w, s in zip(E.tolist(), V0.tolist(), a.tolist(), l.tolist())]
+    # coefficients and the closed times are one bulk call each.
+    closed = RegionCoefficients(**_bulk(_coefficient_fields, E, V0, a, l, 1.0))
     solved, numeric, dwell = _oracle_stack(E, V0, a, l)
     for name, floor in (("T", 0.0), ("R", 1e-30), ("C", 0.0), ("D", 1e-30)):
-        ref = getattr(solved, name)
-        x = np.array([getattr(c, name) for c in closed])
+        x, ref = getattr(closed, name), getattr(solved, name)
         worst = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), floor)))
         check(f"closed {name} vs transfer solve", worst, 1e-10)
 

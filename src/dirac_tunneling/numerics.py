@@ -5,8 +5,9 @@ and `_LastPoint`, the one memo of the last one-point call.  Kept
 separate so the oracle-style routines can depend on them without
 touching the closed-form layer.
 
-Branch continuation has one rule, `continue_branch`; PhaseTracker
-applies it one value at a time.
+Branch continuation has one rule, `continue_branch`, over a whole
+sequence of principal values; a caller that meets its points one at a
+time collects their principal values and continues them in one call.
 """
 
 from __future__ import annotations
@@ -18,40 +19,8 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "PhaseTracker",
     "continue_branch",
 ]
-
-
-class PhaseTracker:
-    """Continue a phase defined modulo ``period`` smoothly along a sweep.
-
-    atan2-based phases jump by the period when the underlying point
-    crosses a branch cut.  Feeding the principal values through
-    :meth:`update` in sweep order removes the jumps by the rule of
-    :func:`continue_branch`, applied one value at a time: threading a
-    sequence through a fresh tracker gives the same values, bit for bit.
-
-    The first call fixes the branch to the principal one, which pins the
-    overall additive constant of the continued phase.
-    """
-
-    def __init__(self, period: float = math.pi):
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        self.period = period
-        self.reset()
-
-    def update(self, principal: float) -> float:
-        """Absorb one principal value, return its continued counterpart."""
-        if self._last is not None:
-            self._jumps += round((principal - self._last) / self.period)
-        self._last = principal
-        return principal - self.period * self._jumps
-
-    def reset(self) -> None:
-        self._last: float | None = None
-        self._jumps = 0
 
 
 def continue_branch(values: Sequence[float], period: float = math.pi) -> np.ndarray:

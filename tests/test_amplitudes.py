@@ -1,6 +1,7 @@
 """Closed-form scattering amplitudes: exact limits, scaling laws, unitarity."""
 
 import cmath
+import dataclasses
 import gc
 import math
 
@@ -9,7 +10,7 @@ import pytest
 
 from dirac_tunneling import (
     BarrierSystem,
-    PhaseTracker,
+    RegionCoefficients,
     bulk_amplitudes,
     kinematic_point,
     reflection,
@@ -18,7 +19,14 @@ from dirac_tunneling import (
     transmission,
     transmission_phase,
 )
-from dirac_tunneling.amplitudes import _ClosedForm, _extended_kinematics, _new_record, _prepare
+from dirac_tunneling.amplitudes import (
+    _bulk,
+    _ClosedForm,
+    _coefficient_fields,
+    _extended_kinematics,
+    _new_record,
+    _prepare,
+)
 from dirac_tunneling.kinematics import RegimeError
 from dirac_tunneling.oracle import random_evanescent_grid
 from dirac_tunneling.times import (
@@ -155,17 +163,15 @@ def test_amplitudes_survive_extreme_opacity():
 
 
 def test_phase_branch_continuity_energy_sweep():
-    # threading a tracker across a fine energy grid removes all pi jumps
+    # continuing the principal phase across a fine energy grid removes all pi jumps,
+    # and the one-point phases continue to the same bits as the bulk ones
     E_grid = np.arange(1.6, 2.0, 1e-4)
     out = bulk_amplitudes(E_grid, 1.5, 0.7, 0.7)
     unwrapped = continue_branch(out["phi_t"])
     assert np.abs(np.diff(unwrapped)).max() < math.pi / 2
 
-    tracker = PhaseTracker()
-    threaded = np.array(
-        [transmission_phase(float(E), SYS_2A, branch_state=tracker) for E in E_grid]
-    )
-    assert np.array_equal(threaded, unwrapped)
+    one_point = continue_branch([transmission_phase(float(E), SYS_2A) for E in E_grid])
+    assert np.array_equal(one_point, unwrapped)
 
 
 def test_bulk_matches_scalar():
@@ -194,6 +200,23 @@ def test_bulk_reports_offending_grid_index():
     with pytest.raises(Exception) as exc:
         bulk_amplitudes(E, 1.5, 0.7, 0.7)
     assert "grid index 1" in str(exc.value)
+
+
+def test_region_coefficients_are_the_0d_view_of_the_bulk_fields():
+    # verify reads the bulk fields; the one-point function rounds the same formulas
+    g = random_evanescent_grid(3000, seed=1003)
+    E, V0, a, l = g["E"], g["V0"], g["a"], g["l"]
+    bulk = _bulk(_coefficient_fields, E, V0, a, l, 1.0)
+    assert list(bulk) == [field.name for field in dataclasses.fields(RegionCoefficients)]
+    worst = dict.fromkeys("RCDFG", 0.0)
+    for i, (e, v, w, s) in enumerate(zip(E.tolist(), V0.tolist(), a.tolist(), l.tolist())):
+        one = region_coefficients(e, BarrierSystem(V0=v, a=w, l=s))
+        assert all(type(getattr(one, name)) is complex for name in bulk)
+        assert bulk["T"][i] == one.T
+        for name in worst:
+            ref = getattr(one, name)
+            worst[name] = max(worst[name], abs(bulk[name][i] - ref) / abs(ref))
+    assert max(worst.values()) <= 1e-15, worst
 
 
 def test_region_coefficients_zero_width():
@@ -360,7 +383,7 @@ def test_magR2_alone_leaves_gamma_delta_and_sin_2kl_uncomputed():
 ])
 def test_lazy_fields_bit_identical_to_a_fresh_record(E, V0, a, l):
     # The lazy record reads |R|^2 first and Delta before Gamma, the fresh one the reverse.
-    names = ["dlt", "sin_2kl", "cos_2kl", "cos_kl", "gam", "phi_t", "R", "T"]
+    names = ["dlt", "sin_2kl", "cos_2kl", "cos_kl", "gam", "phi_t", "R", "T", "d_hat", "c_hat"]
     lazy = _ClosedForm(E, V0, a, l, 1.0, *_extended_kinematics(E, V0, 1.0))
     lazy.magR2
     got = {name: _bits(getattr(lazy, name)) for name in names}

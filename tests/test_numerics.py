@@ -1,15 +1,11 @@
-"""Branch tracking and the last-point memo."""
+"""Branch continuation and the last-point memo."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dirac_tunneling.numerics import (
-    PhaseTracker,
-    _LastPoint,
-    continue_branch,
-)
+from dirac_tunneling.numerics import _LastPoint, continue_branch
 
 
 def _principal(x, period=math.pi):
@@ -17,49 +13,35 @@ def _principal(x, period=math.pi):
     return x - period * np.round(x / period)
 
 
+def _one_at_a_time(values, period):
+    """The branch rule applied value by value in Python floats: the reference for continue_branch."""
+    out, jumps = [], 0
+    for i, value in enumerate(values):
+        if i:
+            jumps += round((value - values[i - 1]) / period)
+        out.append(value - period * jumps)
+    return np.array(out)
+
+
 def test_phase_tracker_recovers_smooth_ramp():
     true = np.linspace(0.0, 12.0, 400)  # crosses many pi-branch cuts
-    tracker = PhaseTracker()
-    out = np.array([tracker.update(_principal(v)) for v in true])
-    assert np.allclose(out, true, atol=1e-12)
+    assert np.allclose(continue_branch(_principal(true)), true, atol=1e-12)
 
 
 def test_phase_tracker_first_value_is_principal():
-    tracker = PhaseTracker()
-    assert tracker.update(0.3) == pytest.approx(0.3)
-    tracker2 = PhaseTracker(period=2 * math.pi)
-    assert tracker2.update(-2.0) == pytest.approx(-2.0)
-
-
-def test_phase_tracker_reset():
-    tracker = PhaseTracker()
-    tracker.update(0.1)
-    tracker.update(0.2)
-    tracker.reset()
-    # after reset the next value is taken at face value again
-    assert tracker.update(1.0) == pytest.approx(1.0)
+    assert continue_branch([0.3, 0.4])[0] == 0.3
+    assert continue_branch([-2.0, -1.0], period=2 * math.pi)[0] == -2.0
 
 
 def test_phase_tracker_custom_period():
     true = np.linspace(0.0, 30.0, 500)
-    tracker = PhaseTracker(period=2 * math.pi)
-    out = np.array([tracker.update(_principal(v, 2 * math.pi)) for v in true])
+    out = continue_branch(_principal(true, 2 * math.pi), period=2 * math.pi)
     assert np.allclose(out, true, atol=1e-12)
 
 
-def test_phase_tracker_rejects_bad_period():
-    with pytest.raises(ValueError):
-        PhaseTracker(period=0.0)
-    with pytest.raises(ValueError):
-        PhaseTracker(period=-1.0)
-
-
 def test_continue_branch_matches_tracker():
-    true = np.linspace(-4.0, 9.0, 300)
-    folded = _principal(true)
-    tracker = PhaseTracker()
-    threaded = np.array([tracker.update(v) for v in folded])
-    assert np.array_equal(continue_branch(folded), threaded)
+    folded = _principal(np.linspace(-4.0, 9.0, 300))
+    assert np.array_equal(continue_branch(folded), _one_at_a_time(folded.tolist(), math.pi))
 
 
 @pytest.mark.parametrize("steps", [[1.0, -1.0, 1.0], [3.0, -3.0, 3.0, 3.0], [1.0, 3.0, -1.0, -3.0]])
@@ -67,10 +49,8 @@ def test_continue_branch_half_period_ties(steps):
     # Steps of an odd number of half periods are ties, rounded to even: +-1.0
     # stays, +-3.0 becomes -+1.0.  np.unwrap maps +-3.0 to +-1.0 instead.
     values = np.cumsum([0.25] + steps)
-    tracker = PhaseTracker(period=2.0)
-    threaded = np.array([tracker.update(v) for v in values.tolist()])
     continued = continue_branch(values, period=2.0)
-    assert np.array_equal(continued, threaded)
+    assert np.array_equal(continued, _one_at_a_time(values.tolist(), 2.0))
     assert np.diff(continued).tolist() == [s - 2.0 * round(s / 2.0) for s in steps]
 
 

@@ -1,7 +1,8 @@
 """Repository tooling: the demos run, the oracle stays independent of the closed forms,
-each CLI key is declared once, no public numerics helper is dead, every package export
-resolves, the one-point memo is the only cache kept across calls, the CSV number
-format is written in the renderer alone, and a failing hypothesis test fails cleanly."""
+only the oracle imports cmath, each CLI key is declared once, no public numerics helper
+is dead, every package export resolves, the one-point memo is the only cache kept across
+calls, the CSV number format is written in the renderer alone, and a failing hypothesis
+test fails cleanly."""
 
 import argparse
 import ast
@@ -75,6 +76,24 @@ def test_one_sine_and_one_cosine_in_the_closed_forms():
     # The closed-form record takes sin 2kl and cos 2kl from sin kl and cos kl.
     assert _calls("sin").count("amplitudes.py") == 1
     assert _calls("cos").count("amplitudes.py") == 1
+
+
+def test_cmath_only_in_the_oracle():
+    # The closed forms are assembled once, in the record, on numpy scalars and arrays
+    # alike; only the oracle's one-point references need complex Python scalars.  So no
+    # second scalar assembly of the closed forms can grow beside the record.
+    users = []
+    for path in sorted((ROOT / "src" / "dirac_tunneling").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                modules = {node.module}
+            else:
+                continue
+            if "cmath" in modules:
+                users.append(path.name)
+    assert users == ["oracle.py"]
 
 
 def test_a_failing_hypothesis_test_fails_without_aborting_the_session(tmp_path):
