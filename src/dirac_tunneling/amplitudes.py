@@ -34,12 +34,11 @@ is only the rounding of the two quotients to double (at most 1.11e-16
 on 2 x 10^6 random evanescent points).
 
 Every formula above is written once, in the record `_prepare` returns:
-the scalar functions, the bulk ones and the times are all views of it.
-It calls one sine and one cosine, of kl (both eagerly), and takes sin 2kl
-and cos 2kl from them by the double-angle identities in extended
-precision, in the step that builds Gamma and Delta; |T|^2 comes in the
-step that builds |R|^2.
-0-d inputs are evaluated as numpy scalars on the same code path as arrays.
+the scalar functions (on numpy scalars), the bulk ones and the times are
+all views of it, and a one-point output is its bulk row bit for bit.
+numpy's array loop may fuse the multiply-adds of a product of two general
+complex numbers, its scalar product does not: each such product both
+paths evaluate is formed from real parts (R's, `oracle._dwell_stack`'s).
 
 A one-point call keeps its record (`numerics._LastPoint`), and the next
 one-point call at the same float inputs, bit for bit, reuses it with all
@@ -61,7 +60,8 @@ gives, whatever the number of cores; nothing about this is configurable.
 
 The region coefficients A, B, C, D, F, G are record fields too
 (`_coefficient_fields`): `region_coefficients` is their 0-d view, and
-`verify` reads them over its whole grid in one bulk call.
+`verify` reads them over its whole grid in one bulk call.  Their general
+complex products stay, so that view agrees with the bulk rows to 1e-15.
 
 Phases computed by atan2 are defined modulo pi.  Every call returns the
 principal branch; `scenarios.run_sweep` continues a swept phase with
@@ -274,8 +274,10 @@ class _ClosedForm:
 
     @_computed_once
     def R(self):
+        """(-i beta_hat e^{ik(2a+l)}) U, the product with U from real parts (see the module docstring)."""
         beta_d, k_d = np.float64(self.beta_hat), np.float64(self.k)
-        return -1.0j * beta_d * np.exp(1.0j * k_d * self.span) * self.u
+        w, u = -1.0j * beta_d * np.exp(1.0j * k_d * self.span), self.u
+        return u * w.real + 1.0j * (u * w.imag)
 
     @_computed_once
     def c_hat(self):

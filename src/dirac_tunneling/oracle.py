@@ -336,8 +336,7 @@ def _dwell_stack(E, V0, a, l, mass, x, q):
             fall = fall * decay
             return 0.5 * a * _region(grow + fall, grow - fall, kappa2_barrier, plus, minus)
 
-        # x3 e^{ik(2a+l)} as x3 cos + i x3 sin: numpy's array loop for a product of two
-        # complex numbers fuses multiply-adds, so a stack would round unlike one point.
+        # x3 e^{ik(2a+l)} from real parts, so a stack rounds as one point (see `amplitudes`).
         phase = k * (2.0 * a + l)
         wave = x[3] * np.cos(phase) + 1.0j * (x[3] * np.sin(phase))
         gap = 0.5 * l * _region(wave + x[4], wave - x[4], kappa2_free, *_gap_kernels(k * l))

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import amplitudes
 from .amplitudes import _bulk, _ClosedForm, _prepare
 from .kinematics import BarrierSystem, kinematic_point
 
@@ -298,7 +299,7 @@ class _NRWindowError(ValueError):
 
 def _nr_kinematics(E_kin, V0, mass):
     """Schroedinger (k, q, alpha = k/q) and their slopes in E_kin, as `amplitudes` gives them."""
-    Ek = np.asarray(E_kin, dtype=np.longdouble)[()]   # V0 and mass enter exactly, unconverted
+    Ek = np.asarray(E_kin, dtype=amplitudes._LD)[()]   # V0 and mass enter exactly, unconverted
     k = np.sqrt(2.0 * mass * Ek)
     q = np.sqrt(2.0 * mass * (V0 - Ek))
     dk = mass / k

@@ -174,18 +174,6 @@ def test_phase_branch_continuity_energy_sweep():
     assert np.array_equal(one_point, unwrapped)
 
 
-def test_bulk_matches_scalar():
-    g = dict(E=np.array([1.8, 1.46]), V0=np.array([1.5, 2.19]),
-             a=np.array([0.7, 1.2]), l=np.array([0.7, 2.0]))
-    out = bulk_amplitudes(**g)
-    for i in range(2):
-        s = BarrierSystem(V0=g["V0"][i], a=g["a"][i], l=g["l"][i])
-        sol = scattering_solution(g["E"][i], s)
-        assert out["T"][i] == pytest.approx(sol.T, rel=1e-13)
-        assert out["R"][i] == pytest.approx(sol.R, rel=1e-13)
-        assert out["phi_t"][i] == pytest.approx(sol.phi_t, rel=1e-13)
-
-
 def test_one_point_record_holds_numpy_scalars():
     # A 0-d ndarray here gives the same values but sends every later
     # operation through array dispatch, several times slower per point.
@@ -203,16 +191,20 @@ def test_bulk_reports_offending_grid_index():
 
 
 def test_region_coefficients_are_the_0d_view_of_the_bulk_fields():
-    # verify reads the bulk fields; the one-point function rounds the same formulas
+    # verify reads the bulk fields; the one-point function rounds the same formulas.
+    # T and R are bit-equal.  C, D, F and G keep general complex products, which numpy's
+    # array loop may round unlike a scalar: forming their ~16 from real parts made them
+    # bit-equal too, but cost the one-point region_coefficients + phase_time_closed pair
+    # 17% (median 31.0 to 36.4 us, 2-vCPU x86-64, numpy 2.4.6).
     g = random_evanescent_grid(3000, seed=1003)
     E, V0, a, l = g["E"], g["V0"], g["a"], g["l"]
     bulk = _bulk(_coefficient_fields, E, V0, a, l, 1.0)
     assert list(bulk) == [field.name for field in dataclasses.fields(RegionCoefficients)]
-    worst = dict.fromkeys("RCDFG", 0.0)
+    worst = dict.fromkeys("CDFG", 0.0)
     for i, (e, v, w, s) in enumerate(zip(E.tolist(), V0.tolist(), a.tolist(), l.tolist())):
         one = region_coefficients(e, BarrierSystem(V0=v, a=w, l=s))
         assert all(type(getattr(one, name)) is complex for name in bulk)
-        assert bulk["T"][i] == one.T
+        assert bulk["T"][i] == one.T and bulk["R"][i] == one.R
         for name in worst:
             ref = getattr(one, name)
             worst[name] = max(worst[name], abs(bulk[name][i] - ref) / abs(ref))
