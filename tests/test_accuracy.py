@@ -287,14 +287,20 @@ def _within_budget(errors, budget=BUDGET):
     assert not over, f"over budget {budget}: {over}"
 
 
-@x87
-def test_closed_forms_within_budget(reference):
-    def one_point(E, system):
-        report, sol = time_report(E, system), scattering_solution(E, system)
-        return report.tau_p, report.tau_i, sol.magT2, sol.magR2
+def _one_point_closed_forms(E, system):
+    report, sol = time_report(E, system), scattering_solution(E, system)
+    return report.tau_p, report.tau_i, sol.magT2, sol.magR2
 
+
+@x87
+def test_scalar_paths_within_budget(reference):
+    _within_budget(_errors(reference, *_one_point(_COLUMNS, _one_point_closed_forms)))
+
+
+@x87
+def test_bulk_paths_within_budget(reference):
     bulk = _bulk_closed_forms()
-    assert all(np.array_equal(x, y) for x, y in zip(_one_point(_COLUMNS, one_point), bulk))
+    assert all(np.array_equal(x, y) for x, y in zip(_one_point(_COLUMNS, _one_point_closed_forms), bulk))
     _within_budget(_errors(reference, *bulk))
 
 

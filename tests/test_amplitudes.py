@@ -174,6 +174,16 @@ def test_phase_branch_continuity_energy_sweep():
     assert np.array_equal(one_point, unwrapped)
 
 
+def test_bulk_matches_scalar():
+    g = dict(E=np.array([1.8, 1.46]), V0=np.array([1.5, 2.19]),
+             a=np.array([0.7, 1.2]), l=np.array([0.7, 2.0]))
+    out = bulk_amplitudes(**g)
+    for i in range(2):
+        s = BarrierSystem(V0=g["V0"][i], a=g["a"][i], l=g["l"][i])
+        sol = scattering_solution(g["E"][i], s)
+        assert (out["T"][i], out["R"][i], out["phi_t"][i]) == (sol.T, sol.R, sol.phi_t)
+
+
 def test_one_point_record_holds_numpy_scalars():
     # A 0-d ndarray here gives the same values but sends every later
     # operation through array dispatch, several times slower per point.

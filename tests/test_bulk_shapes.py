@@ -11,7 +11,6 @@ public function runs on the calling thread.
 """
 
 import concurrent.futures
-import hashlib
 import math
 import multiprocessing
 import sys
@@ -22,8 +21,7 @@ import numpy as np
 import pytest
 
 import dirac_tunneling
-from dirac_tunneling import (BarrierSystem, RegimeError, amplitudes, nonrelativistic_times, numerics,
-                             scattering_solution, scenarios, time_report, times)
+from dirac_tunneling import RegimeError, amplitudes, numerics, scenarios, times
 from dirac_tunneling.amplitudes import bulk_amplitudes
 from dirac_tunneling.oracle import random_evanescent_grid
 from dirac_tunneling.times import ConsistencyError, _bulk_nr_phase_time, _bulk_times
@@ -77,42 +75,13 @@ def test_reduced_shape_value_error_names_full_index():
         bulk_amplitudes(1.8, 1.5, [0.7, 0.7, -1.0], 0.7)
 
 
-# SHA-256 of the float64 bytes of the one-point outputs on a fixed random grid, after
-# each is asserted equal to its bulk row, so it pins both paths.  Like the figure CSV
-# pins, it holds for the 80-bit x87 longdouble build.  The NR prefactor m/k^2 rounds
-# differently for k**2 (C pow) and k*k at index 876 (and 949, 982, 986, 1564), so the
-# pin also sees that choice in the one-point NR tau_i, which has no bulk counterpart.
-CLOSED_FORMS_SHA256 = "b4ec84734506c6f328ad53ebebf3a7101698d14842c87bde28a4d8721082f013"
-
-
-def test_random_grid_bytes_pinned():
-    g = random_evanescent_grid(2000, seed=5)
-    E, V0, a, l = g["E"], g["V0"], g["a"], g["l"]
-    amp, bulk_times = bulk_amplitudes(E, V0, a, l), _bulk_times(E, V0, a, l)
-    bulk = {**amp, **bulk_times, "nr_tau_p": _bulk_nr_phase_time(E - 1.0, V0, a, l)}
-    one = {}
-    for e, v, w, s in zip(E.tolist(), V0.tolist(), a.tolist(), l.tolist()):
-        system = BarrierSystem(V0=v, a=w, l=s)
-        sol, rep = scattering_solution(e, system), time_report(e, system)
-        nr = nonrelativistic_times(e - 1.0, system)
-        for name, value in [
-            ("T", sol.T), ("R", sol.R), ("phi_t", sol.phi_t), ("magT2", sol.magT2),
-            ("magR2", sol.magR2), ("tau_p", rep.tau_p), ("tau_i", rep.tau_i),
-            ("tau_d", rep.tau_d), ("t_free", rep.t_free), ("t_light", rep.t_light),
-            ("nr_tau_p", nr.tau_p), ("nr_tau_i", nr.tau_i),
-        ]:
-            one.setdefault(name, []).append(value)
-    one = {name: np.array(values) for name, values in one.items()}
+def test_random_grid_bytes_pinned(pin_grid_outputs):
+    # Every one-point output is its bulk row, on every platform, so the one-point bytes
+    # that test_times.py::test_random_grid_scalar_bytes_pinned hashes pin both paths.
+    one, bulk = pin_grid_outputs
     assert set(one) - set(bulk) == {"nr_tau_i"}
     differ = {name: int(np.count_nonzero(one[name] != bulk[name])) for name in one if name in bulk}
     assert differ == dict.fromkeys(differ, 0), differ
-    assert all(np.array_equal(amp[name], bulk_times[name]) for name in ("magT2", "phi_t"))
-    if np.finfo(np.longdouble).nmant != 63:
-        pytest.skip("hash pinned for the 80-bit longdouble build")
-    digest = hashlib.sha256()
-    for values in one.values():
-        digest.update(values.tobytes())
-    assert digest.hexdigest() == CLOSED_FORMS_SHA256
 
 
 def _assert_same(got, want):

@@ -1,5 +1,6 @@
 """Phase time, dwell time, self-interference delay, and their identities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -80,6 +81,15 @@ def test_free_transit_time_equals_time_report_t_free():
                 opaque_limit_times(E, BarrierSystem(V0=V0, a=a, l=l)).t_free}) != 1
     ]
     assert differ == []
+
+
+def test_scalar_t_free_bit_identical_to_bulk():
+    # Both divide span E by the record's extended-precision k and round once.
+    g = random_evanescent_grid(3000, seed=3)
+    bulk = _bulk_times(g["E"], g["V0"], g["a"], g["l"])["t_free"]
+    scalar = np.array([time_report(E, BarrierSystem(V0=V0, a=a, l=l)).t_free
+                       for E, V0, a, l in zip(*(g[key].tolist() for key in ("E", "V0", "a", "l")))])
+    assert np.count_nonzero(scalar != bulk) == 0
 
 
 def test_appendix_terms_reconstruct_phase_time():
@@ -327,3 +337,30 @@ def test_nonrelativistic_limit_of_relativistic_time():
     tau_rel = phase_time_closed(m + 0.8, s)
     tau_nr = nonrelativistic_times(0.8, s).tau_p
     assert abs(tau_rel - tau_nr) / tau_nr < 1e-3
+
+
+def test_bulk_times_matches_scalar():
+    out = _bulk_times(np.array([1.8]), np.array([1.5]), np.array([0.7]),
+                      np.array([0.7]))
+    s = BarrierSystem(V0=1.5, a=0.7, l=0.7)
+    assert out["tau_p"][0] == phase_time_closed(1.8, s)
+    assert out["tau_i"][0] == self_interference_delay(1.8, s)
+    assert out["t_light"][0] == time_report(1.8, s).t_light
+    assert out["t_light"][0] == pytest.approx(2.1, rel=1e-15)
+
+
+# SHA-256 of the float64 bytes of the one-point outputs on the grid of the
+# pin_grid_outputs fixture.  tests/test_bulk_shapes.py::test_random_grid_bytes_pinned
+# asserts that each equals its bulk row, so this one pin covers both paths.  Like the
+# figure CSV pins, it holds for the 80-bit x87 longdouble build.
+CLOSED_FORMS_SHA256 = "b4ec84734506c6f328ad53ebebf3a7101698d14842c87bde28a4d8721082f013"
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63, reason="hash pinned for the 80-bit longdouble build"
+)
+def test_random_grid_scalar_bytes_pinned(pin_grid_outputs):
+    digest = hashlib.sha256()
+    for values in pin_grid_outputs[0].values():
+        digest.update(values.tobytes())
+    assert digest.hexdigest() == CLOSED_FORMS_SHA256
