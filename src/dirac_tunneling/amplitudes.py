@@ -13,7 +13,11 @@ R = beta e^{i[k(2a+l) - pi/2]} T.  The transmission phase is
 
     phi_t = kl - atan2(Delta, Gamma),
 
-so that T = |T| e^{i[phi_t - k(2a+l)]}.
+so that T = |T| e^{i[phi_t - k(2a+l)]}.  Both amplitudes are evaluated
+from V = 8 alpha^2 / (Gamma + i Delta): T = e^{-2ika} V and
+R = -i beta e^{ikl} V, where e^{ikl} = cos kl + i sin kl is the record's
+own, so R's phase never rounds k(2a+l) to double.  sin kl and cos kl come
+from one Cody-Waite reduction of kl by pi/2 (`_sin_cos`).
 
 Everything here is evaluated in rescaled form: the dominant e^{2qa} growth
 of the hyperbolic functions is divided out analytically, for example
@@ -38,7 +42,8 @@ the scalar functions (on numpy scalars), the bulk ones and the times are
 all views of it, and a one-point output is its bulk row bit for bit.
 numpy's array loop may fuse the multiply-adds of a product of two general
 complex numbers, its scalar product does not: each such product both
-paths evaluate is formed from real parts (R's, `oracle._dwell_stack`'s).
+paths evaluate is formed from real parts (U's and R's with V,
+`oracle._dwell_stack`'s).
 
 A one-point call keeps its record (`numerics._LastPoint`), and the next
 one-point call at the same float inputs, bit for bit, reuses it with all
@@ -133,6 +138,7 @@ class RegionCoefficients:
 
 
 _LD = np.longdouble
+_EIGHT = np.complex128(8.0)
 
 
 def _extended_kinematics(E, V0, mass):
@@ -191,18 +197,19 @@ class _ClosedForm:
     Eager: the validated inputs (E, V0, a, l, mass), the span 2a + l, the
     extended-precision k, q, alpha and their energy slopes ``dk`` = k',
     ``dq`` = q', ``dlog_alpha`` = alpha'/alpha, ``al2`` = alpha^2,
-    ``one_al2`` = 1 + alpha^2, the hyperbolics, kl, sin kl and cos kl.
+    ``one_al2`` = 1 + alpha^2, the hyperbolics, kl, and sin kl and cos kl
+    from one reduction of kl (`_sin_cos`).
     The rest is computed on first use, in the groups its readers read:
     the rescaled Gamma (``gam``) sets Delta (``dlt``), sin 2kl =
     2 sin kl cos kl and cos 2kl = (cos kl - sin kl)(cos kl + sin kl), and
     |R|^2 sets |T|^2, so |R|^2 alone reads neither Gamma, Delta nor sin 2kl;
     the rescaled gap coefficient c_hat sets d_hat.
-    The identities are within a few longdouble ulps, absolute, of sinl and
-    cosl at 2kl (at most 1.2 eps against mpmath of the same kl up to 8000;
-    sinl and cosl, 0.26 eps), and the rounding of kl itself, about
-    ulp(kl), dominates both.  Each quantity keeps the shape of its inputs;
-    real ones stay in extended precision, while U, T, R, c_hat and d_hat
-    are double complex.
+    sin kl and cos kl are within 0.5 longdouble eps, absolute, of mpmath
+    of the same kl up to 8500 (sinl and cosl, 0.26 eps), the identities
+    within 1.2 eps at 2kl, and the rounding of kl itself, about ulp(kl),
+    dominates all of them.  Each quantity keeps the shape of its inputs;
+    real ones stay in extended precision, while V, U, T, R, c_hat and
+    d_hat are double complex.
     """
 
     def __init__(self, E, V0, a, l, mass, k, q, alpha, dk, dq, dlog_alpha):
@@ -214,8 +221,7 @@ class _ClosedForm:
         self.span = 2.0 * a + l
         self.hyp = _hyperbolics(q, a)
         self.kl = kl = k * l
-        self.sin_kl = np.sin(kl)
-        self.cos_kl = np.cos(kl)
+        self.sin_kl, self.cos_kl = _sin_cos(kl)
 
     @_computed_once
     def gam(self):
@@ -234,7 +240,7 @@ class _ClosedForm:
     @_computed_once
     def gd2(self):
         """Gamma^2 + Delta^2, rescaled by e^{-4qa}: the phase time's and h3's denominator."""
-        return self.gam**2 + self.dlt**2
+        return self.gam * self.gam + self.dlt * self.dlt
 
     @_computed_once
     def beta_hat(self):
@@ -255,18 +261,23 @@ class _ClosedForm:
         )
 
     @_computed_once
-    def u(self):
-        """U = e^{2qa} T, an O(1) complex128 quantity.
+    def v(self):
+        """V = 8 alpha^2 / (Gamma + i Delta), rescaled by e^{2qa}: U and R without their phases.
 
         Gamma and Delta are rounded to double here; their extended-precision
         values are accurate to ~1e-18 relative, so the rounding costs one ulp
         even where the doubles-only evaluation would lose digits.
         """
-        al2 = np.float64(self.al2)
-        gam, dlt = np.float64(self.gam), np.float64(self.dlt)
-        ka = np.float64(self.k * self.a)
-        # Not gam + 1j * dlt: the same bits through numpy's generic path, about ten times slower.
-        return 8.0 * al2 * np.exp(-2.0j * ka) / (1.0j * dlt + gam)
+        al2, gam, dlt = np.float64(self.al2), np.float64(self.gam), np.float64(self.dlt)
+        # Not gam + 1j * dlt, nor a float64 numerator: the same bits through numpy's
+        # generic path, several times slower at one point.
+        return _EIGHT * al2 / (1.0j * dlt + gam)
+
+    @_computed_once
+    def u(self):
+        """U = e^{2qa} T = e^{-2ika} V, an O(1) complex128 quantity; the product from real parts."""
+        phase, v = np.exp(-2.0j * np.float64(self.k * self.a)), self.v
+        return v * phase.real + 1.0j * (v * phase.imag)
 
     @_computed_once
     def T(self):
@@ -274,10 +285,9 @@ class _ClosedForm:
 
     @_computed_once
     def R(self):
-        """(-i beta_hat e^{ik(2a+l)}) U, the product with U from real parts (see the module docstring)."""
-        beta_d, k_d = np.float64(self.beta_hat), np.float64(self.k)
-        w, u = -1.0j * beta_d * np.exp(1.0j * k_d * self.span), self.u
-        return u * w.real + 1.0j * (u * w.imag)
+        """-i beta_hat e^{ikl} V = (beta_hat sin kl) V - i (beta_hat cos kl) V: its phase is the record's kl."""
+        beta, v = self.beta_hat, self.v
+        return v * np.float64(beta * self.sin_kl) - 1.0j * (v * np.float64(beta * self.cos_kl))
 
     @_computed_once
     def c_hat(self):
@@ -303,12 +313,12 @@ class _ClosedForm:
     # e^{-4qa} + beta_hat^2: they sum to one by construction.
     @_computed_once
     def magT2(self):
-        return self.hyp.e4 / (self.hyp.e4 + self.beta_hat**2)
+        return self.hyp.e4 / (self.hyp.e4 + self.beta_hat * self.beta_hat)
 
     @_computed_once
     def magR2(self):
-        """|R|^2; sets |T|^2 on the way, as every reader of |R|^2 but the resonance search reads both."""
-        beta_sq = self.beta_hat**2
+        """|R|^2; sets |T|^2 on the way, as every reader of |R|^2 reads both."""
+        beta_sq = self.beta_hat * self.beta_hat
         den = self.hyp.e4 + beta_sq
         self.magT2 = self.hyp.e4 / den
         return beta_sq / den
@@ -410,6 +420,50 @@ def _bulk(fields, E, V0, a, l, mass, kinematics=None) -> dict:
                 out[key] = np.empty(shape, dtype=value.dtype)
             out[key][window(start)] = value
     return out
+
+
+# pi/2 = _HALF_PI[0] + _HALF_PI[1] + _HALF_PI[2] to within 5e-35: two heads of 30 bits,
+# so that n times either is a double, exact for |n| < _REDUCED_BELOW, and a double tail.
+_HALF_PI = (float.fromhex("0x1.921fb54p+0"), float.fromhex("0x1.10b46118p-30"),
+            float.fromhex("0x1.313198a2e037p-61"))
+_REDUCED_BELOW = 2.0**23
+_TWO_OVER_PI = 2.0 / math.pi
+
+
+def _sin_cos(x):
+    """sin x and cos x from one Cody-Waite reduction, x = n pi/2 + r with |r| <~ pi/4.
+
+    n = floor(double(x) 2/pi + 1/2), by the same double arithmetic at one
+    point and over an array; r = ((x - n P1) - n P2) - n P3 in the
+    precision of x, with the first subtraction exact.  One sine and one
+    cosine of r then serve both, picked and negated by n mod 4, which is
+    exact.  Where |n| >= 2^23, n = 0 and sin and cos reduce x themselves.
+    Within 0.5 longdouble eps (absolute) of mpmath for |x| up to 8500,
+    where sinl and cosl read 0.26 eps; over arrays spread on [0, 3] or
+    wider it costs 0.4 to 0.5 times what sinl and cosl do.
+    """
+    one_point = x.ndim == 0
+    if one_point:
+        # Python floats and ints: each numpy scalar operation would cost more than these together.
+        t = float(x) * _TWO_OVER_PI + 0.5
+        n = math.floor(t) if 1.0 - _REDUCED_BELOW <= t < _REDUCED_BELOW else 0
+    else:
+        n = np.floor(x.astype(float) * _TWO_OVER_PI + 0.5)
+        n[~(np.abs(n) < _REDUCED_BELOW)] = 0.0
+    p1, p2, p3 = _HALF_PI
+    r = ((x - n * p1) - n * p2) - n * p3
+    s, c = np.sin(r), np.cos(r)
+    if one_point:
+        if n & 1:
+            s, c = c, -s
+        return (-s, -c) if n & 2 else (s, c)
+    quadrant = n.astype(np.int64)
+    odd = (quadrant & 1).astype(bool)
+    s, c = np.where(odd, c, s), np.where(odd, -s, c)
+    half_turn = (quadrant & 2).astype(bool)
+    np.negative(s, out=s, where=half_turn)
+    np.negative(c, out=c, where=half_turn)
+    return s, c
 
 
 def _hyperbolics(q, a) -> _Hyperbolics:

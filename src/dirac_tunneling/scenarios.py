@@ -224,9 +224,8 @@ def find_resonances(
     i = 1 + np.flatnonzero((beta[1:-1] < beta[:-2]) & (beta[1:-1] < beta[2:]))
     minima = record(grid[i])
     l_star = np.float64(minima.l - np.arctan(minima.beta_hat / minima.dbeta_hat) / minima.k)
-    times = _bulk_times(E, V0, a, l_star, mass)
-    # bulk_amplitudes' magR2, without its other outputs.
-    columns = (l_star, np.sqrt(np.float64(record(l_star).magR2)), times["tau_p"], times["tau_d"])
+    times = _bulk_times(E, V0, a, l_star, mass, magR2=True)
+    columns = (l_star, np.sqrt(times["magR2"]), times["tau_p"], times["tau_d"])
     return list(zip(*(column.tolist() for column in columns)))
 
 

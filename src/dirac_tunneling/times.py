@@ -23,7 +23,8 @@ them usable at arbitrarily large qa, which is exactly where the saturated
 independent of both the barrier width a and the separation l.  Every
 time reads Gamma, Delta, beta and R from the closed-form record of
 `amplitudes`; the nonrelativistic times use that record with
-Schroedinger kinematics.
+Schroedinger kinematics.  R = -i beta e^{ikl} V takes its phase from the
+record's sin kl and cos kl, so the times evaluate no complex exponential.
 
 The relativistic tau_i is always computed two ways, from Im R and from
 the h2/h3 form; a disagreement beyond 1e-8 signals an implementation
@@ -31,7 +32,7 @@ defect and raises ConsistencyError rather than returning either value.
 h2 and h3 are evaluated in factored form through the same rescaled
 beta, Gamma and Delta that build R (their expanded sums cancel at opaque
 near-resonance points), so the check guards the complex assembly of R --
-the -i, the e^{ik(2a+l)} phase and complex128 rounding -- against a
+V, the -i, the e^{ikl} phase and complex128 rounding -- against a
 real-arithmetic form, not the algebra of beta, Gamma and Delta.  The
 oracle (transfer matrix and the exact integral of its density) is the
 independent check of those.
@@ -349,16 +350,17 @@ def _nr_fields(rec: _ClosedForm) -> dict:
     return {"tau_p": np.asarray(_tau_p(rec), dtype=float)}
 
 
-def _bulk_times(E, V0, a, l, mass=1.0) -> dict[str, np.ndarray]:
+def _bulk_times(E, V0, a, l, mass=1.0, magR2=False) -> dict[str, np.ndarray]:
     """Vectorized time scales over broadcastable parameter arrays.
 
     Returns arrays tau_p, tau_i, tau_d, t_free, t_light, magT2 and the
     principal-branch phi_t (branch continuation is the caller's job), each
-    of the full broadcast shape.  As in `bulk_amplitudes`, intermediates
-    are evaluated on the shape of the inputs they depend on.
+    of the full broadcast shape, and with ``magR2`` also |R|^2 from the
+    same records.  As in `bulk_amplitudes`, intermediates are evaluated on
+    the shape of the inputs they depend on.
     """
     E, V0, a, l = (np.asarray(x, dtype=float) for x in (E, V0, a, l))
-    out = _bulk(_time_fields, E, V0, a, l, mass)
+    out = _bulk(_time_and_reflection_fields if magR2 else _time_fields, E, V0, a, l, mass)
     # Checked once on the whole grid, so a failure names the worst point of all blocks.
     _check_tau_i(E, V0, a, l, out["tau_i"], out.pop("from_h"), out.pop("unit"))
     out["tau_d"] = out["tau_p"] - out["tau_i"]
@@ -377,3 +379,8 @@ def _time_fields(rec: _ClosedForm) -> dict:
         "magT2": rec.magT2.astype(float),
         "phi_t": rec.phi_t.astype(float),
     }
+
+
+def _time_and_reflection_fields(rec: _ClosedForm) -> dict:
+    magR2 = rec.magR2.astype(float)   # first: it sets |T|^2 on the way
+    return {**_time_fields(rec), "magR2": magR2}

@@ -25,15 +25,8 @@ def random_grid_small():
     return random_evanescent_grid(2000, seed=7)
 
 
-@pytest.fixture(scope="session")
-def pin_grid_outputs():
-    """(one_point, bulk): each closed-form output by name on the raw-bit pin's grid.
-
-    The NR prefactor m/k^2 rounds differently for k**2 (C pow) and k*k at index 876 (and
-    949, 982, 986, 1564), so the one-point NR tau_i, which has no bulk row, sees that choice.
-    """
-    g = random_evanescent_grid(2000, seed=5)
-    E, V0, a, l = g["E"], g["V0"], g["a"], g["l"]
+def closed_form_outputs(E, V0, a, l):
+    """(one_point, bulk): each closed-form output by name at the points of four 1-d arrays."""
     amp, bulk_times = bulk_amplitudes(E, V0, a, l), _bulk_times(E, V0, a, l)
     assert all(np.array_equal(amp[name], bulk_times[name]) for name in ("magT2", "phi_t"))
     one = {}
@@ -50,6 +43,23 @@ def pin_grid_outputs():
             one.setdefault(name, []).append(value)
     one = {name: np.array(values) for name, values in one.items()}
     return one, {**amp, **bulk_times, "nr_tau_p": _bulk_nr_phase_time(E - 1.0, V0, a, l)}
+
+
+@pytest.fixture(scope="session")
+def pin_grid_outputs():
+    """`closed_form_outputs` on the raw-bit pin's grid.
+
+    The NR prefactor m/k^2 rounds differently for k**2 (C pow) and k*k at index 876 (and
+    949, 982, 986, 1564), so the one-point NR tau_i, which has no bulk row, sees that choice.
+    """
+    g = random_evanescent_grid(2000, seed=5)
+    return closed_form_outputs(g["E"], g["V0"], g["a"], g["l"])
+
+
+@pytest.fixture(scope="session")
+def outputs_at():
+    """`closed_form_outputs`, for tests that evaluate grids of their own."""
+    return closed_form_outputs
 
 
 @pytest.fixture

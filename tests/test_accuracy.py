@@ -77,7 +77,7 @@ x87 = pytest.mark.skipif(
 BUDGET = {
     "tau_p": 4 * 5.95e-14,  # relative, all kinds but q -> 0
     "tau_p_q_edge": 4 * 2.49e-12,  # relative, q -> 0
-    "tau_i": 4 * 5.92e-14,  # absolute, in units of m/k^2
+    "tau_i": 4 * 2.97e-14,  # absolute, in units of m/k^2
     "magT2": 4 * 3.38e-15,  # relative, where |T|^2 is a normal double
     "unitarity": 4 * 1.11e-16,  # |T|^2 + |R|^2 - 1; 0 on this grid
     "tau_p_nr": 4 * 3.89e-14,  # relative, all kinds but q -> 0

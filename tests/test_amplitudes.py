@@ -26,6 +26,7 @@ from dirac_tunneling.amplitudes import (
     _extended_kinematics,
     _new_record,
     _prepare,
+    _sin_cos,
 )
 from dirac_tunneling.kinematics import RegimeError
 from dirac_tunneling.oracle import random_evanescent_grid
@@ -188,7 +189,7 @@ def test_one_point_record_holds_numpy_scalars():
     # A 0-d ndarray here gives the same values but sends every later
     # operation through array dispatch, several times slower per point.
     rec = _prepare(1.8, 1.5, 0.7, 0.7, 1.0)
-    for name in ("k", "q", "alpha", "gam", "dlt", "u", "R"):
+    for name in ("k", "q", "alpha", "sin_kl", "cos_kl", "gam", "dlt", "v", "u", "R"):
         value = getattr(rec, name)
         assert isinstance(value, np.generic), (name, type(value))
 
@@ -398,6 +399,53 @@ def _exact(x):
     mp = pytest.importorskip("mpmath")
     head = float(x)
     return mp.mpf(head) + mp.mpf(float(x - np.longdouble(head)))
+
+
+def _same(x, y):
+    """Equal values with equal signs (longdouble padding bytes are not part of the value)."""
+    return bool(np.all((x == y) & (np.signbit(x) == np.signbit(y))))
+
+
+def _reduction_points():
+    """Longdouble arguments of `_sin_cos`: +-0, near +-n pi/4 up to 8500 (with both
+    neighbours), and about the reduction's limit n = 2^23 and beyond it."""
+    LD = np.longdouble
+    pi = LD(math.pi) + LD(1.2246467991473532e-16)   # pi to ~1e-32
+    n = np.concatenate([np.arange(1, 41), np.arange(10816, 10824)]).astype(LD)
+    limit = LD(2.0**23)
+    x = np.concatenate([n * (pi / 4), (limit + np.arange(-2, 3)) * (pi / 2),
+                        np.array([1e8, 1e12], dtype=LD)])
+    x = np.concatenate([x, np.nextafter(x, LD(0)), np.nextafter(x, LD(np.inf))])
+    return np.concatenate([[LD(0.0), LD(-0.0)], x, -x])
+
+
+def test_sin_cos_within_half_an_eps_of_mpmath():
+    # One Cody-Waite reduction for both: within 0.5 longdouble eps (absolute) of the
+    # 50-digit values, as sinl and cosl are (0.26 eps); measured worst 0.45 eps up to 8500.
+    mp = pytest.importorskip("mpmath")
+    x = _reduction_points()
+    s, c = _sin_cos(x)
+    eps = float(np.finfo(np.longdouble).eps)
+    with mp.workdps(50):
+        for xi, si, ci in zip(x, s, c):
+            exact = _exact(xi)
+            assert abs(_exact(si) - mp.sin(exact)) <= 0.5 * eps, repr(xi)
+            assert abs(_exact(ci) - mp.cos(exact)) <= 0.5 * eps, repr(xi)
+    # Past the limit, sinl and cosl reduce the argument themselves: three multiples of
+    # pi/2 and two larger points, each with both neighbours, of either sign.
+    beyond = ~(np.abs(np.floor(x.astype(float) * (2.0 / math.pi) + 0.5)) < 2.0**23)
+    assert beyond.sum() == 5 * 3 * 2
+    assert _same(s[beyond], np.sin(x[beyond])) and _same(c[beyond], np.cos(x[beyond]))
+
+
+def test_sin_cos_one_point_branch_is_its_array_row():
+    # The 0-d branch finds n and the quadrant in Python floats and ints; both branches
+    # share r, so every bit agrees, signed zeros and the limit's two sides included.
+    x = _reduction_points()
+    s, c = _sin_cos(x)
+    for i, xi in enumerate(x):
+        one_s, one_c = _sin_cos(xi)
+        assert _same(one_s, s[i]) and _same(one_c, c[i]), repr(xi)
 
 
 def test_double_angle_terms_within_a_few_ulps_of_mpmath():

@@ -84,6 +84,19 @@ def test_random_grid_bytes_pinned(pin_grid_outputs):
     assert differ == dict.fromkeys(differ, 0), differ
 
 
+def test_long_separations_bit_identical_to_bulk_rows(outputs_at):
+    # kl up to about 8500, where sin kl and cos kl reduce by n up to 5400, and one point
+    # past the reduction's limit n < 2^23, kl ~ 1.5e7, where sinl and cosl reduce kl.
+    g = random_evanescent_grid(300, seed=1003, l_max=3000.0)
+    extra = {"E": 1.8, "V0": 1.5, "a": 0.7, "l": 1e7}
+    E, V0, a, l = (np.append(g[key], value) for key, value in extra.items())
+    kl = np.sqrt((E - 1.0) * (E + 1.0)) * l
+    assert kl[:-1].max() > 5000.0 and kl[-1] > 2.0**23 * math.pi / 2
+    one, bulk = outputs_at(E, V0, a, l)
+    differ = {name: int(np.count_nonzero(one[name] != bulk[name])) for name in one if name in bulk}
+    assert differ == dict.fromkeys(differ, 0), differ
+
+
 def _assert_same(got, want):
     assert got.keys() == want.keys()
     for key in want:

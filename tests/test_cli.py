@@ -187,7 +187,7 @@ FIGURE_SHA256 = {
     "2A": "0cf6d2024d6de33bf0e05c480f889f671e2e186a9d75b7951183566b15cc3caf",
     "2B": "6488bd089f0719e6f5e5d1682b6601b5c8823dec2fe91d39b2c8d467d7a1146e",
     "2C": "4947e091ca37983b3012b646024ebec5b1f96cb56ec72b05ccf61b08e999ad9f",
-    "3A": "50a1f062e4071f8954d032753f445f71a6f87cef6f922df223ff00f528fadcd6",
+    "3A": "e0f7fe02a4b8c82465ac8e71909e6f57a8f0ff96eaeda91555812e8334220b9c",
     "3B": "44cf8491c1fb15800b470c7ab099d896545389ef0fe45c26e50648487eb55215",
 }
 

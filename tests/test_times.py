@@ -353,7 +353,7 @@ def test_bulk_times_matches_scalar():
 # pin_grid_outputs fixture.  tests/test_bulk_shapes.py::test_random_grid_bytes_pinned
 # asserts that each equals its bulk row, so this one pin covers both paths.  Like the
 # figure CSV pins, it holds for the 80-bit x87 longdouble build.
-CLOSED_FORMS_SHA256 = "b4ec84734506c6f328ad53ebebf3a7101698d14842c87bde28a4d8721082f013"
+CLOSED_FORMS_SHA256 = "6c75aa15318597e01bca84084ff93a4bac7196890567738673b25f8752f59b40"
 
 
 @pytest.mark.skipif(

@@ -1,8 +1,8 @@
 """Repository tooling: the demos run, the oracle stays independent of the closed forms,
-only the oracle imports cmath, each CLI key is declared once, no public numerics helper
-is dead, every package export resolves, the one-point memo is the only cache kept across
-calls, the CSV number format is written in the renderer alone, and a failing hypothesis
-test fails cleanly."""
+only the oracle imports cmath, R reads no complex exponential, each CLI key is declared
+once, no public numerics helper is dead, every package export resolves, the one-point
+memo is the only cache kept across calls, the CSV number format is written in the
+renderer alone, and a failing hypothesis test fails cleanly."""
 
 import argparse
 import ast
@@ -76,6 +76,30 @@ def test_one_sine_and_one_cosine_in_the_closed_forms():
     # The closed-form record takes sin 2kl and cos 2kl from sin kl and cos kl.
     assert _calls("sin").count("amplitudes.py") == 1
     assert _calls("cos").count("amplitudes.py") == 1
+
+
+def test_reflection_reads_no_complex_exponential():
+    # R = -i beta_hat e^{ikl} V takes e^{ikl} from the record's sin kl and cos kl, so
+    # neither _ClosedForm.R nor any record field it reads, directly or through others,
+    # calls exp: the time fields, which read R but not U, evaluate no exponential.
+    tree = ast.parse((ROOT / "src" / "dirac_tunneling" / "amplitudes.py").read_text())
+    (record,) = (node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_ClosedForm")
+    reads, calls_exp = {}, set()
+    for method in record.body:
+        if isinstance(method, ast.FunctionDef):
+            nodes = list(ast.walk(method))
+            reads[method.name] = {node.attr for node in nodes if isinstance(node, ast.Attribute)
+                                  and isinstance(node.value, ast.Name) and node.value.id == "self"}
+            if any(isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", getattr(node.func, "id", None)) == "exp" for node in nodes):
+                calls_exp.add(method.name)
+    assert calls_exp, "the rule needs a field that calls exp to tell R from"
+    seen, todo = set(), ["R"]
+    while todo:
+        name = todo.pop()
+        assert name not in calls_exp, name
+        seen.add(name)
+        todo += [field for field in reads.get(name, ()) if field not in seen]
 
 
 def test_cmath_only_in_the_oracle():
