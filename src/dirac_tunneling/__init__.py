@@ -47,16 +47,13 @@ from .times import (
 )
 from .oracle import (
     FieldSample,
-    InterfaceMatrix,
     default_flux_samples,
     dwell_integral,
     flux_profile,
-    interface_matrix,
     numeric_phase_time,
     random_evanescent_grid,
     single_barrier_amplitudes,
     tm_solve,
-    transfer_relation,
 )
 from .scenarios import (
     FIGURE_IDS,
@@ -77,7 +74,6 @@ __all__ = [
     "ConsistencyError",
     "FIGURE_IDS",
     "FieldSample",
-    "InterfaceMatrix",
     "KinematicPoint",
     "Regime",
     "RegimeError",
@@ -102,7 +98,6 @@ __all__ = [
     "find_resonances",
     "flux_profile",
     "free_transit_time",
-    "interface_matrix",
     "kinematic_point",
     "light_transit_time",
     "nonrelativistic_times",
@@ -119,7 +114,6 @@ __all__ = [
     "single_barrier_amplitudes",
     "time_report",
     "tm_solve",
-    "transfer_relation",
     "transmission",
     "transmission_phase",
     "wavenumber_k",

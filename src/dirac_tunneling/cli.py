@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitudes import RegionCoefficients, _bulk, _coefficient_fields, bulk_amplitudes
+from .amplitudes import RegionCoefficients, _bulk, _coefficient_fields
 from .kinematics import BarrierSystem
 from .oracle import _oracle_stack, random_evanescent_grid
 from .scenarios import (
@@ -468,8 +468,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         if worst > tol:
             failures.append(name)
 
-    bulk = bulk_amplitudes(E, V0, a, l)
-    check("unitarity |T|^2+|R|^2-1", float(np.max(np.abs(bulk["magT2"] + bulk["magR2"] - 1.0))), 1e-12)
+    times = _bulk_times(E, V0, a, l, magR2=True)
+    check("unitarity |T|^2+|R|^2-1", float(np.max(np.abs(times["magT2"] + times["magR2"] - 1.0))), 1e-12)
 
     # The oracle side is one stacked solve with its E-derivative, which gives the
     # coefficients, the phase times and the dwell times of every point; the closed
@@ -481,7 +481,6 @@ def _cmd_verify(cfg: RunConfig) -> int:
         worst = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), floor)))
         check(f"closed {name} vs transfer solve", worst, 1e-10)
 
-    times = _bulk_times(E, V0, a, l)
     check("phase time closed vs solve derivative",
           float(np.max(np.abs(times["tau_p"] - numeric) / np.abs(numeric))), 1e-6)
     check(f"dwell integral vs tau_p - tau_i ({cfg.count} pts)",

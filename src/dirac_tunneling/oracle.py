@@ -15,10 +15,10 @@ code as possible.
 Every solve has the derivative columns, [b | M' | b'].  A one-point
 call keeps (x, x', q) for the next one-point call at the same float
 inputs, bit for bit (`numerics._LastPoint`): `tm_solve`,
-`numeric_phase_time`, `dwell_integral`, `flux_profile` and
-`transfer_relation` at one point share one solve.  Only the last point
-is kept, once validated; array calls neither read nor replace it, and
-nothing about this is configurable.
+`numeric_phase_time`, `dwell_integral` and `flux_profile` at one point
+share one solve.  Only the last point is kept, once validated; array
+calls neither read nor replace it, and nothing about this is
+configurable.
 
 The linear system is assembled in rescaled unknowns: every evanescent
 coefficient is multiplied by the exponential factor that makes it O(1)
@@ -30,7 +30,6 @@ regime; the true coefficients are recovered by undoing the scaling.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,34 +42,14 @@ from .numerics import _LastPoint
 
 __all__ = [
     "FieldSample",
-    "InterfaceMatrix",
     "default_flux_samples",
     "dwell_integral",
     "flux_profile",
-    "interface_matrix",
     "numeric_phase_time",
     "random_evanescent_grid",
     "single_barrier_amplitudes",
     "tm_solve",
-    "transfer_relation",
 ]
-
-
-@dataclass(frozen=True)
-class InterfaceMatrix:
-    """2x2 map from evanescent to plane coefficient pairs at a step.
-
-    In the local variables u = (P+ e^{ikz0}, P- e^{-ikz0}) and
-    v = (Q+ e^{-qz0}, Q- e^{qz0}) the continuity conditions at an
-    interface z0 read u = M v with M depending only on alpha.  Its
-    determinant is i/alpha, so the map is always invertible.
-    """
-
-    matrix: np.ndarray
-
-    @property
-    def det(self) -> complex:
-        return complex(np.linalg.det(self.matrix))
 
 
 @dataclass(frozen=True)
@@ -197,7 +176,7 @@ def single_barrier_amplitudes(
     kp = kinematic_point(E, BarrierSystem(V0=V0, a=width, l=0.0, mass=mass))
     k, q, al = kp.k, kp.q, kp.alpha
     e2w = math.exp(-2.0 * q * width)
-    eikw = cmath.exp(1.0j * k * width)
+    eikw = complex(math.cos(k * width), math.sin(k * width))
 
     m = np.zeros((4, 4), dtype=complex)
     rhs = np.zeros(4, dtype=complex)
@@ -408,37 +387,6 @@ def default_flux_samples(
         off = min(offset, 0.25 * width)
         chunks.append(np.linspace(lo + off, hi - off, per_region))
     return np.concatenate(chunks)
-
-
-def interface_matrix(E: float, system: BarrierSystem) -> InterfaceMatrix:
-    """The evanescent-to-plane coefficient map shared by all four steps."""
-    kp = kinematic_point(E, system)
-    ia = 1.0j / kp.alpha
-    return InterfaceMatrix(
-        matrix=0.5 * np.array([[1.0 + ia, 1.0 - ia], [1.0 - ia, 1.0 + ia]])
-    )
-
-
-def transfer_relation(E: float, system: BarrierSystem) -> tuple[complex, complex]:
-    """Compose interface maps and propagators from region V back to region I.
-
-    Starting from the transmitted pair (T e^{ikw}, 0) of the linear solve
-    and walking back through the four interfaces with diagonal propagation
-    factors must reproduce the incident pair (1, R).  Uses true (unscaled)
-    propagation factors e^{+-qa}, so it is meaningful at moderate qa only.
-    """
-    kp = kinematic_point(E, system)
-    sol = tm_solve(E, system)
-    k, q = kp.k, kp.q
-    m = interface_matrix(E, system).matrix
-    m_inv = np.linalg.inv(m)
-    d_evan = np.diag([math.exp(q * system.a), math.exp(-q * system.a)])
-    d_plane = np.diag(
-        [cmath.exp(-1.0j * k * system.l), cmath.exp(1.0j * k * system.l)]
-    )
-    u_out = np.array([sol.T * cmath.exp(1.0j * k * system.span), 0.0], dtype=complex)
-    u_in = m @ d_evan @ m_inv @ d_plane @ m @ d_evan @ m_inv @ u_out
-    return complex(u_in[0]), complex(u_in[1])
 
 
 def random_evanescent_grid(

@@ -90,16 +90,16 @@ DWELL_BUDGET = {
     "q_edge": 4 * 1.19e-13,
     "k_edge": 4 * 1.23e-15,
     "resonance": 4 * 6.72e-10,
-    "opaque": 4 * 8.22e-16,
+    "opaque": 4 * 5.09e-16,
 }
 
 # 4 times the worst relative error of the closed tau_d against tau_p - tau_i, per kind.
 TAU_D_BUDGET = {
-    "plain": 4 * 1.62e-15,
+    "plain": 4 * 1.18e-16,
     "q_edge": 4 * 2.49e-12,
-    "k_edge": 4 * 2.08e-8,
+    "k_edge": 4 * 7.41e-9,
     "resonance": 4 * 5.94e-14,
-    "opaque": 4 * 1.72e-12,
+    "opaque": 4 * 2.92e-15,
 }
 
 # 4 times the worst error with the record in float64; unitarity keeps its longdouble budget.

@@ -368,10 +368,6 @@ def test_distinct_points_keep_at_most_one_record():
     assert sum(isinstance(obj, _ClosedForm) for obj in gc.get_objects()) <= 1
 
 
-def _bits(x):
-    return np.asarray(x).tobytes()
-
-
 def test_magR2_alone_leaves_gamma_delta_and_sin_2kl_uncomputed():
     rec = _ClosedForm(1.8, 1.5, 0.7, np.linspace(0.5, 4.0, 9), 1.0,
                       *_extended_kinematics(1.8, 1.5, 1.0))
@@ -389,9 +385,16 @@ def test_lazy_fields_bit_identical_to_a_fresh_record(E, V0, a, l):
     names = ["dlt", "sin_2kl", "cos_2kl", "cos_kl", "gam", "phi_t", "R", "T", "d_hat", "c_hat"]
     lazy = _ClosedForm(E, V0, a, l, 1.0, *_extended_kinematics(E, V0, 1.0))
     lazy.magR2
-    got = {name: _bits(getattr(lazy, name)) for name in names}
+    got = {name: getattr(lazy, name) for name in names}
     fresh = _new_record(E, V0, a, l, 1.0)
-    assert {name: _bits(getattr(fresh, name)) for name in reversed(names)} == got
+    for name in reversed(names):
+        x, y = getattr(fresh, name), got[name]
+        # complex128 has no padding; the 6 padding bytes of an 80-bit longdouble are not
+        # initialised, so longdoubles compare by value and sign (`_same`).
+        if np.iscomplexobj(x):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), name
+        else:
+            assert _same(x, y), name
 
 
 def _exact(x):

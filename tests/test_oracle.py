@@ -10,7 +10,6 @@ from dirac_tunneling import (
     dwell_integral,
     dwell_time,
     flux_profile,
-    interface_matrix,
     kinematic_point,
     numeric_phase_time,
     phase_time_closed,
@@ -18,7 +17,6 @@ from dirac_tunneling import (
     self_interference_delay,
     single_barrier_amplitudes,
     tm_solve,
-    transfer_relation,
     transmission,
 )
 from dirac_tunneling.kinematics import RegimeError
@@ -322,21 +320,6 @@ def test_default_flux_samples_cover_all_regions():
     assert (z > 2.1).any()
 
 
-def test_interface_matrix_determinant():
-    kp = kinematic_point(1.8, SYS_2A)
-    m = interface_matrix(1.8, SYS_2A)
-    assert m.det == pytest.approx(1j / kp.alpha, rel=1e-14)
-
-
-def test_transfer_relation_reproduces_unit_income():
-    for a, l in [(0.7, 0.7), (1.5, 2.0), (2.5, 0.3)]:
-        s = BarrierSystem(V0=1.5, a=a, l=l)
-        inc, refl = transfer_relation(1.8, s)
-        sol = tm_solve(1.8, s)
-        assert inc == pytest.approx(1.0 + 0.0j, rel=1e-10)
-        assert refl == pytest.approx(sol.R, rel=1e-9, abs=1e-12)
-
-
 def test_random_grid_is_deterministic_and_in_window():
     g1 = random_evanescent_grid(64, seed=42)
     g2 = random_evanescent_grid(64, seed=42)
@@ -368,7 +351,7 @@ def _flux(E, system):
     return flux_profile(E, system, default_flux_samples(system, per_region=3))
 
 
-_ONE_POINT_VIEWS = (tm_solve, numeric_phase_time, dwell_integral, _flux, transfer_relation)
+_ONE_POINT_VIEWS = (tm_solve, numeric_phase_time, dwell_integral, _flux)
 _ELSEWHERE = (2.5, BarrierSystem(V0=2.0, a=1.1, l=0.3))
 
 

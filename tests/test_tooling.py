@@ -1,5 +1,5 @@
 """Repository tooling: the demos run, the oracle stays independent of the closed forms,
-only the oracle imports cmath, R reads no complex exponential, each CLI key is declared
+no package module imports cmath, R reads no complex exponential, each CLI key is declared
 once, no public numerics helper is dead, every package export resolves, the one-point
 memo is the only cache kept across calls, the CSV number format is written in the
 renderer alone, and a failing hypothesis test fails cleanly."""
@@ -104,8 +104,9 @@ def test_reflection_reads_no_complex_exponential():
 
 def test_cmath_only_in_the_oracle():
     # The closed forms are assembled once, in the record, on numpy scalars and arrays
-    # alike; only the oracle's one-point references need complex Python scalars.  So no
-    # second scalar assembly of the closed forms can grow beside the record.
+    # alike, and the oracle's one-point references take their complex scalars from math.
+    # So no package module imports cmath, and no second scalar assembly of the closed
+    # forms can grow beside the record.
     users = []
     for path in sorted((ROOT / "src" / "dirac_tunneling").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -117,7 +118,7 @@ def test_cmath_only_in_the_oracle():
                 continue
             if "cmath" in modules:
                 users.append(path.name)
-    assert users == ["oracle.py"]
+    assert users == []
 
 
 def test_a_failing_hypothesis_test_fails_without_aborting_the_session(tmp_path):
