@@ -5,7 +5,8 @@ self-interference times) for a relativistic particle meeting two
 identical electrostatic barriers, together with independent numerical
 oracles (linear-solve amplitudes, phase time from the solve's exact
 energy derivative, dwell time from the exact integral of the solve's
-density), sweep/resonance drivers and canonical datasets.  Natural
+density, the probability current in each region), sweep/resonance drivers
+and canonical datasets.  Natural
 units hbar = c = 1 throughout.
 """
 
@@ -46,12 +47,10 @@ from .times import (
     time_report,
 )
 from .oracle import (
-    FieldSample,
-    default_flux_samples,
     dwell_integral,
-    flux_profile,
     numeric_phase_time,
     random_evanescent_grid,
+    region_fluxes,
     single_barrier_amplitudes,
     tm_solve,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "BarrierSystem",
     "ConsistencyError",
     "FIGURE_IDS",
-    "FieldSample",
     "KinematicPoint",
     "Regime",
     "RegimeError",
@@ -88,7 +86,6 @@ __all__ = [
     "classify_regime",
     "continue_branch",
     "decay_q",
-    "default_flux_samples",
     "dwell_integral",
     "dwell_time",
     "emit_csv",
@@ -96,7 +93,6 @@ __all__ = [
     "figure_datasets",
     "figure_spec",
     "find_resonances",
-    "flux_profile",
     "free_transit_time",
     "kinematic_point",
     "light_transit_time",
@@ -108,6 +104,7 @@ __all__ = [
     "read_csv",
     "reflection",
     "region_coefficients",
+    "region_fluxes",
     "run_sweep",
     "scattering_solution",
     "self_interference_delay",

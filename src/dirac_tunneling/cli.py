@@ -472,10 +472,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
     check("unitarity |T|^2+|R|^2-1", float(np.max(np.abs(times["magT2"] + times["magR2"] - 1.0))), 1e-12)
 
     # The oracle side is one stacked solve with its E-derivative, which gives the
-    # coefficients, the phase times and the dwell times of every point; the closed
-    # coefficients and the closed times are one bulk call each.
+    # coefficients, the phase times, the dwell times and the region currents of every
+    # point; the closed coefficients and the closed times are one bulk call each.
     closed = RegionCoefficients(**_bulk(_coefficient_fields, E, V0, a, l, 1.0))
-    solved, numeric, dwell = _oracle_stack(E, V0, a, l)
+    solved, numeric, dwell, flux = _oracle_stack(E, V0, a, l)
     for name, floor in (("T", 0.0), ("R", 1e-30), ("C", 0.0), ("D", 1e-30)):
         x, ref = getattr(closed, name), getattr(solved, name)
         worst = float(np.max(np.abs(x - ref) / np.maximum(np.abs(ref), floor)))
@@ -485,6 +485,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
           float(np.max(np.abs(times["tau_p"] - numeric) / np.abs(numeric))), 1e-6)
     check(f"dwell integral vs tau_p - tau_i ({cfg.count} pts)",
           float(np.max(np.abs(dwell - times["tau_d"]) / np.abs(dwell))), 1e-6)
+    # Absolute, in units of the incident current: at opaque points the barrier and gap
+    # currents cancel down to |T|^2, so a deviation relative to |T|^2 means nothing.
+    check("flux conservation, each region vs transmitted (units of J_inc)",
+          float(np.max(np.abs(flux - flux[4]))), 3e-12)
 
     if failures:
         print(f"FAILED: {', '.join(failures)}")

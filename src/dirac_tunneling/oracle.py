@@ -7,7 +7,8 @@ linear system, for any broadcast stack of points in one LAPACK call; the
 phase time from the exact E-derivative of that solution, x' = M^-1 (b' -
 M' x) with M' and b' differentiated entry by entry and solved in the same
 call; the dwell time from the exact integral of that solution's
-probability density, region by region (`_dwell_stack`).  The one-point
+probability density, region by region (`_dwell_stack`); the probability
+current in each region from the same solution (`_flux_stack`).  The one-point
 functions are views of these array paths.  Tests compare the closed
 forms against these routines, so the two layers must share as little
 code as possible.
@@ -15,7 +16,7 @@ code as possible.
 Every solve has the derivative columns, [b | M' | b'].  A one-point
 call keeps (x, x', q) for the next one-point call at the same float
 inputs, bit for bit (`numerics._LastPoint`): `tm_solve`,
-`numeric_phase_time`, `dwell_integral` and `flux_profile` at one point
+`numeric_phase_time`, `dwell_integral` and `region_fluxes` at one point
 share one solve.  Only the last point is kept, once validated; array
 calls neither read nor replace it, and nothing about this is
 configurable.
@@ -31,34 +32,21 @@ regime; the true coefficients are recovered by undoing the scaling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .amplitudes import RegionCoefficients
-from .kinematics import BarrierSystem, KinematicPoint, _validate, kinematic_point
+from .kinematics import BarrierSystem, _validate, kinematic_point
 from .numerics import _LastPoint
 
 __all__ = [
-    "FieldSample",
-    "default_flux_samples",
     "dwell_integral",
-    "flux_profile",
     "numeric_phase_time",
     "random_evanescent_grid",
+    "region_fluxes",
     "single_barrier_amplitudes",
     "tm_solve",
 ]
-
-
-@dataclass(frozen=True)
-class FieldSample:
-    """Probability density and flux at one position."""
-
-    z: float
-    psi_dag_psi: float
-    J: float
 
 
 # Every entry of the rescaled system is a constant times a factor alpha^s e^{-2qa p + ikz}
@@ -211,34 +199,6 @@ def numeric_phase_time(E: float, system: BarrierSystem) -> float:
     return float(_phase_time(E, system.a, system.l, system.mass, x, dx))
 
 
-def _wavefunction(kp: KinematicPoint, system: BarrierSystem, coeffs: RegionCoefficients):
-    """psi(z) -> (psi1, psi3) at an array of positions, each dispatched by region.
-
-    Every region carries c+ e^{lam z} + c- e^{-lam z}, with lam = ik in the
-    free regions and -q in the barriers, and a lower component kappa
-    times the difference of the two waves.  An interface belongs to the
-    region on its right; the solution is continuous there.
-    """
-    E, k, q, mass = kp.E, kp.k, kp.q, system.mass
-    kappa1, kappa2 = k / (E + mass), 1.0j * q / (E - system.V0 + mass)
-    bounds = np.array([0.0, system.a, system.a + system.l, system.span])
-    c = coeffs
-    table = np.array([
-        [1.0j * k, -q, 1.0j * k, -q, 1.0j * k],  # lam
-        [1.0, c.A, c.C, c.F, c.T],  # c+
-        [c.R, c.B, c.D, c.G, 0.0],  # c-
-        [kappa1, kappa2, kappa1, kappa2, kappa1],  # kappa
-    ])
-
-    def psi(z):
-        lam, c_plus, c_minus, kappa = table[:, bounds.searchsorted(z, side="right")]
-        wave = np.exp(lam * z)
-        up, dn = c_plus * wave, c_minus / wave
-        return up + dn, kappa * (up - dn)
-
-    return psi
-
-
 # sinh(x)/x - 1 = sum_{n>=1} x^(2n) / (2n+1)!; seven terms reach double precision for
 # x below _SERIES_BELOW, where the closed differences lose digits.  Each branch is
 # evaluated on arguments clipped to its own side, so neither overflows nor divides by 0,
@@ -335,58 +295,55 @@ def dwell_integral(E: float, system: BarrierSystem) -> float:
     return float(_dwell_stack(E, system.V0, system.a, system.l, system.mass, x, q))
 
 
+def _flux_stack(E, V0, a, l, mass, x, q):
+    """Probability current J = 2 Re(psi1* psi3) in each of the five regions, shaped ``(5, ...)``.
+
+    In units of the incident current 2 kappa, kappa = k/(E+m), from the
+    rescaled solve ``x`` (`_tm_rescaled`), with sigma = q/(E-V0+m) and
+    eps = e^{-2qa}: 1 - |R|^2 before the barriers, -2 (sigma/kappa) Im(B* A)
+    = -2 (sigma/kappa) eps Im(x2* x1) in the first barrier, |C|^2 - |D|^2 =
+    eps (|x3|^2 - |x4|^2) in the gap, -2 (sigma/kappa) eps^2 Im(x6* x5) in the
+    second barrier and |T|^2 = eps^2 |x7|^2 beyond.  A stationary state
+    carries the same current in all five; no factor is unscaled, so none
+    overflows at any qa or l.
+    """
+    k = np.sqrt((E - mass) * (E + mass))
+    ratio = 2.0 * (q / (E - V0 + mass)) / (k / (E + mass))
+    eps = np.exp(-2.0 * q * a)
+    eps2 = eps * eps
+
+    def barrier(c, d):  # -2 (sigma/kappa) Im(d* c), from real parts
+        return ratio * (d.imag * c.real - d.real * c.imag)
+
+    return np.stack((1.0 - _abs2(x[0]), eps * barrier(x[1], x[2]),
+                     eps * (_abs2(x[3]) - _abs2(x[4])), eps2 * barrier(x[5], x[6]),
+                     eps2 * _abs2(x[7])))
+
+
+def region_fluxes(E: float, system: BarrierSystem) -> tuple[float, ...]:
+    """The probability current in each of the five regions, in units of the incident current.
+
+    The one-point view of `_oracle_stack`'s currents (`_flux_stack`), on the
+    point's kept solve (`_tm_point`); a stationary state carries |T|^2 in each.
+    """
+    x, _, q = _tm_point(E, system)
+    return tuple(_flux_stack(E, system.V0, system.a, system.l, system.mass, x, q).tolist())
+
+
 def _oracle_stack(E, V0, a, l, mass: float = 1.0):
-    """(region coefficients, phase time, dwell time) of broadcast valid points.
+    """(region coefficients, phase time, dwell time, region currents) of broadcast valid points.
 
     Validates every point and makes one stacked solve with its derivative:
     the coefficients undo its scaling, the phase time reads x and x'
-    (`_phase_time`) and the dwell time integrates the density of x
-    (`_dwell_stack`).  The array path of `tm_solve`, `numeric_phase_time`
-    and `dwell_integral`, bit for bit.
+    (`_phase_time`), the dwell time integrates the density of x
+    (`_dwell_stack`) and the currents read x too (`_flux_stack`).  The
+    array path of `tm_solve`, `numeric_phase_time`, `dwell_integral` and
+    `region_fluxes`, bit for bit.
     """
     _validate(E, V0, a, l, mass)
     x, dx, q = _tm_rescaled(E, V0, a, l, mass)
     return (RegionCoefficients(*_unscaled(x, q, a, l)), _phase_time(E, a, l, mass, x, dx),
-            _dwell_stack(E, V0, a, l, mass, x, q))
-
-
-def flux_profile(
-    E: float, system: BarrierSystem, z_samples: Sequence[float]
-) -> list[FieldSample]:
-    """Density and flux J = 2 Re(psi1* psi3) at the given positions.
-
-    For a stationary solution J is position-independent and equals
-    J_inc |T|^2 everywhere, including inside the barriers where the two
-    evanescent modes sustain it jointly.
-    """
-    kp = kinematic_point(E, system)
-    z = np.asarray(z_samples, dtype=float)
-    p1, p3 = _wavefunction(kp, system, tm_solve(E, system))(z)
-    dens = np.abs(p1) ** 2 + np.abs(p3) ** 2
-    flux = 2.0 * (p1.conjugate() * p3).real
-    return [FieldSample(*sample) for sample in zip(z.tolist(), dens.tolist(), flux.tolist())]
-
-
-def default_flux_samples(
-    system: BarrierSystem, per_region: int = 20, offset: float = 1e-6
-) -> np.ndarray:
-    """Sample positions covering all five regions, kept off the interfaces.
-
-    20 points per region by default; each region's endpoints are pulled
-    inward by ``offset`` (capped at a quarter of the region width) so no
-    sample lands exactly on a density kink.  The outer regions extend one
-    span (at least 1.0) beyond the potential.
-    """
-    ext = max(1.0, system.span)
-    a, s, w = system.a, system.a + system.l, system.span
-    chunks = []
-    for lo, hi in ((-ext, 0.0), (0.0, a), (a, s), (s, w), (w, w + ext)):
-        width = hi - lo
-        if width <= 0.0:
-            continue
-        off = min(offset, 0.25 * width)
-        chunks.append(np.linspace(lo + off, hi - off, per_region))
-    return np.concatenate(chunks)
+            _dwell_stack(E, V0, a, l, mass, x, q), _flux_stack(E, V0, a, l, mass, x, q))
 
 
 def random_evanescent_grid(

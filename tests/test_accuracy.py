@@ -282,9 +282,17 @@ def _nr_errors(ref, tau_p):
     return {"tau_p_nr": err[~_NR_Q_EDGE], "tau_p_nr_q_edge": err[_NR_Q_EDGE]}
 
 
-def _within_budget(errors, budget=BUDGET):
-    over = {key: float(err.max()) for key, err in errors.items() if not err.max() <= budget[key]}
+def _assert_within(worst, budget):
+    """Print worst, budget and worst/budget per key (``pytest -rP`` shows them), then check."""
+    for key, value in worst.items():
+        ratio = value / budget[key]
+        print(f"{key}: worst {value:.3g}, budget {budget[key]:.3g}, worst/budget {ratio:.3f}")
+    over = {key: value for key, value in worst.items() if not value <= budget[key]}
     assert not over, f"over budget {budget}: {over}"
+
+
+def _within_budget(errors, budget=BUDGET):
+    _assert_within({key: float(err.max()) for key, err in errors.items()}, budget)
 
 
 def _one_point_closed_forms(E, system):
@@ -317,9 +325,7 @@ def test_float64_record_within_its_budget(reference, nr_reference, monkeypatch):
 def _dwell_within_budget(reference, got, budget):
     tau_d = reference[:, 3]
     err = np.abs(got - tau_d) / np.abs(tau_d)
-    worst = {kind: float(err[_KIND == kind].max()) for kind in budget}
-    over = {kind: value for kind, value in worst.items() if not value <= budget[kind]}
-    assert not over, f"over budget {budget}: {over}"
+    _assert_within({kind: float(err[_KIND == kind].max()) for kind in budget}, budget)
 
 
 @x87
@@ -351,11 +357,9 @@ def test_opaque_near_resonance_within_budget(point, budget):
     times, amp = _bulk_times(*point), bulk_amplitudes(*point)
     tau_p, tau_i, magT2, magR2 = times["tau_p"], times["tau_i"], amp["magT2"], amp["magR2"]
     assert (report.tau_p, report.tau_i, sol.magT2, sol.magR2) == (tau_p, tau_i, magT2, magR2)
-    errors = {
-        "tau_p": abs(tau_p - tau_p_ref) / abs(tau_p_ref),
-        "tau_i": abs(tau_i - tau_i_ref) * ((E - 1.0) * (E + 1.0)),
-        "magT2": abs(magT2 - magT2_ref) / magT2_ref,
-    }
-    over = {key: float(err) for key, err in errors.items() if not err <= budget[key]}
-    assert not over, f"over budget {budget}: {over}"
+    _assert_within({
+        "tau_p": float(abs(tau_p - tau_p_ref) / abs(tau_p_ref)),
+        "tau_i": float(abs(tau_i - tau_i_ref) * ((E - 1.0) * (E + 1.0))),
+        "magT2": float(abs(magT2 - magT2_ref) / magT2_ref),
+    }, budget)
     assert abs(magT2 + magR2 - 1.0) <= BUDGET["unitarity"]

@@ -384,6 +384,7 @@ def test_verify_smoke(capsys):
     assert "all checks passed" in out
     assert "unitarity" in out
     assert "dwell integral vs tau_p - tau_i (8 pts)" in out
+    assert "flux conservation, each region vs transmitted (units of J_inc)" in out
 
 
 def test_verify_resolves_the_sharp_resonance_of_seed_1(capsys):
