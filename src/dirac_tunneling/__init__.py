@@ -15,11 +15,8 @@ from .kinematics import (
     KinematicPoint,
     Regime,
     RegimeError,
-    alpha,
     classify_regime,
-    decay_q,
     kinematic_point,
-    wavenumber_k,
 )
 from .numerics import continue_branch
 from .amplitudes import (
@@ -80,12 +77,10 @@ __all__ = [
     "SweepDataset",
     "SweepSpec",
     "TimeReport",
-    "alpha",
     "appendix_terms",
     "bulk_amplitudes",
     "classify_regime",
     "continue_branch",
-    "decay_q",
     "dwell_integral",
     "dwell_time",
     "emit_csv",
@@ -113,5 +108,4 @@ __all__ = [
     "tm_solve",
     "transmission",
     "transmission_phase",
-    "wavenumber_k",
 ]

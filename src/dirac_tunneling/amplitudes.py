@@ -150,13 +150,15 @@ def _extended_kinematics(E, V0, mass):
     """
     # Only E is converted (~0.5 us a scalar): V0 and mass enter the extended arithmetic exactly.
     El = np.asarray(E, dtype=_LD)[()]
-    k = np.sqrt((El - mass) * (El + mass))
+    El_m = El + mass
+    k = np.sqrt((El - mass) * El_m)
     diff = El - V0
-    q = np.sqrt((mass - diff) * (mass + diff))
-    alpha = (k / q) * (diff + mass) / (El + mass)
+    diff_m = diff + mass
+    q = np.sqrt((mass - diff) * diff_m)
+    alpha = (k / q) * diff_m / El_m
     dk = El / k
     dq = -diff / q
-    return k, q, alpha, dk, dq, dk / k - dq / q + 1.0 / (diff + mass) - 1.0 / (El + mass)
+    return k, q, alpha, dk, dq, dk / k - dq / q + 1.0 / diff_m - 1.0 / El_m
 
 
 class _Hyperbolics(NamedTuple):

@@ -33,12 +33,9 @@ __all__ = [
     "KinematicPoint",
     "Regime",
     "RegimeError",
-    "alpha",
     "classify_regime",
-    "decay_q",
     "kinematic_point",
     "regime_error",
-    "wavenumber_k",
 ]
 
 
@@ -128,10 +125,13 @@ class KinematicPoint:
 def classify_regime(E: float, system: BarrierSystem) -> Regime:
     """Classify (E, V0) into exactly one regime.
 
-    The classification is total: boundary cases (E = m, V0 = E -+ m) are
-    assigned to the adjacent non-computable regime, since k = 0 or q = 0
-    make the scattering formulas singular.
+    The classification is total over finite E: boundary cases (E = m,
+    V0 = E -+ m) are assigned to the adjacent non-computable regime, since
+    k = 0 or q = 0 make the scattering formulas singular.  A non-finite E
+    (NaN or +-inf) raises ValueError, as every evaluating entry does.
     """
+    if not math.isfinite(E):
+        raise ValueError(f"E must be finite, got {E!r}")
     return _classify(E, system.V0, system.mass)
 
 
@@ -195,55 +195,8 @@ def _validate(E, V0, a, l, mass) -> None:
     raise regime_error(_classify(e, v, m), detail, i)
 
 
-def wavenumber_k(E: float, system: BarrierSystem) -> float:
-    """Free-space wavenumber sqrt(E^2 - m^2).
-
-    Raises
-    ------
-    ValueError
-        If E is not finite, or as RegimeError if E <= mass (no
-        propagating incident wave).
-    """
-    m = system.mass
-    if not math.isfinite(E):
-        raise ValueError(f"E must be finite, got {E!r}")
-    if not E > m:
-        raise RegimeError(Regime.BELOW_THRESHOLD, _REGIME_MESSAGES[Regime.BELOW_THRESHOLD])
-    return math.sqrt((E - m) * (E + m))
-
-
-def decay_q(E: float, system: BarrierSystem) -> float:
-    """Evanescent decay constant sqrt(m^2 - (E - V0)^2) inside a barrier.
-
-    Raises
-    ------
-    ValueError
-        If E is not finite, or as RegimeError if |E - V0| >= mass: either
-        the barrier is supercritical (V0 >= E + m) or the particle passes
-        above it (V0 <= E - m).
-    """
-    m = system.mass
-    if not math.isfinite(E):
-        raise ValueError(f"E must be finite, got {E!r}")
-    diff = E - system.V0
-    if not diff > -m:
-        raise RegimeError(Regime.SUPERCRITICAL, _REGIME_MESSAGES[Regime.SUPERCRITICAL])
-    if not diff < m:
-        raise RegimeError(Regime.ABOVE_BARRIER, _REGIME_MESSAGES[Regime.ABOVE_BARRIER])
-    return math.sqrt((m - diff) * (m + diff))
-
-
-def alpha(E: float, system: BarrierSystem) -> float:
-    """Spinor matching ratio (k/q) (E - V0 + m)/(E + m).
-
-    Strictly positive in the evanescent-particle regime and strictly
-    decreasing in V0 at fixed E.
-    """
-    return kinematic_point(E, system).alpha
-
-
 def kinematic_point(E: float, system: BarrierSystem) -> KinematicPoint:
-    """Bundle (E, k, q, alpha) after validating the regime."""
+    """Bundle (E, k, q, alpha) after `_validate`: the package's one double-precision kinematics."""
     _validate(E, system.V0, system.a, system.l, system.mass)
     m = system.mass
     k = math.sqrt((E - m) * (E + m))

@@ -123,7 +123,10 @@ def _tm_rescaled(E, V0, a, l, mass: float = 1.0):
 def _unscaled(x, q, a, l):
     """The region coefficients (A, B, C, D, F, G, T, R) from the rescaled unknowns ``x``."""
     e2, e1 = np.exp(-2.0 * q * a), np.exp(-q * a)
-    return (x[1], x[2] * e2, x[3] * e1, x[4] * e1, x[5] * np.exp(q * l),
+    # F = x5 e^{ql} overflows to inf past ql ~ 709, silently, as the closed form's F does.
+    with np.errstate(over="ignore"):
+        grow = np.exp(q * l)
+    return (x[1], x[2] * e2, x[3] * e1, x[4] * e1, x[5] * grow,
             x[6] * np.exp(-q * (2.0 * a + l)) * e2, x[7] * e2, x[0])
 
 

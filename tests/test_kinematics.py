@@ -11,7 +11,7 @@ from dirac_tunneling import (
     classify_regime,
     kinematic_point,
 )
-from dirac_tunneling.kinematics import alpha, decay_q, regime_error, wavenumber_k
+from dirac_tunneling.kinematics import regime_error
 
 
 def sys_for(V0, mass=1.0):
@@ -31,10 +31,10 @@ CASES = [
 
 @pytest.mark.parametrize("E, V0, k_ref, q_ref, a_ref", CASES)
 def test_kinematic_values(E, V0, k_ref, q_ref, a_ref):
-    system = sys_for(V0)
-    assert wavenumber_k(E, system) == pytest.approx(k_ref, rel=1e-14)
-    assert decay_q(E, system) == pytest.approx(q_ref, rel=1e-14)
-    assert alpha(E, system) == pytest.approx(a_ref, rel=1e-14)
+    kp = kinematic_point(E, sys_for(V0))
+    assert kp.k == pytest.approx(k_ref, rel=1e-14)
+    assert kp.q == pytest.approx(q_ref, rel=1e-14)
+    assert kp.alpha == pytest.approx(a_ref, rel=1e-14)
 
 
 def test_kinematic_point_consistency():
@@ -50,7 +50,7 @@ def test_kinematic_point_consistency():
 
 def test_massless_threshold_value():
     # E = sqrt(2), m = 1 gives k = 1 up to rounding
-    assert wavenumber_k(math.sqrt(2.0), sys_for(1.5)) == pytest.approx(1.0, rel=1e-15)
+    assert kinematic_point(math.sqrt(2.0), sys_for(1.5)).k == pytest.approx(1.0, rel=1e-15)
 
 
 def test_classify_regime_total():
@@ -80,6 +80,9 @@ def test_regime_enum_values():
         (0.5, 1.5, "E ≤ m"),
         (1.8, 3.2, "V0 ≥ E + m"),
         (1.8, 0.3, "V0 ≤ E - m"),
+        (1.0, 1.5, "E ≤ m"),         # E = m: k = 0
+        (1.8, 0.5, "V0 ≤ E - m"),    # the particle passes above the barrier: no real q
+        (1.8, 3.0, "V0 ≥ E + m"),
     ],
 )
 def test_kinematic_point_rejects_noncomputable(E, V0, fragment):
@@ -97,30 +100,17 @@ def test_regime_error_detail_suffix():
 
 
 def test_wavenumber_requires_energy_above_mass():
-    with pytest.raises(RegimeError):
-        wavenumber_k(1.0, sys_for(1.5))
-    with pytest.raises(RegimeError):
-        wavenumber_k(0.2, sys_for(1.5, mass=0.5))
+    with pytest.raises(RegimeError) as exc:
+        kinematic_point(0.2, sys_for(1.5, mass=0.5))
+    assert exc.value.regime is Regime.BELOW_THRESHOLD
 
 
-def test_decay_q_rejects_propagating_barrier():
-    with pytest.raises(RegimeError):
-        decay_q(1.8, sys_for(0.5))  # above barrier
-    with pytest.raises(RegimeError):
-        decay_q(1.8, sys_for(3.0))  # supercritical
-
-
-@pytest.mark.parametrize("func", [wavenumber_k, decay_q])
+@pytest.mark.parametrize("func", [kinematic_point, classify_regime])
 @pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
-def test_partial_kinematics_reject_non_finite_energy(func, E):
-    with pytest.raises(ValueError, match="E must be finite"):
+def test_kinematics_reject_non_finite_energy(func, E):
+    with pytest.raises(ValueError, match="E must be finite") as exc:
         func(E, sys_for(1.5))
-
-
-def test_partial_kinematics_keep_their_own_domain():
-    # k needs only E > m and q only |E - V0| < m: each works where the other fails
-    assert wavenumber_k(1.8, sys_for(0.5)) == pytest.approx(math.sqrt(1.8**2 - 1.0), rel=1e-15)
-    assert decay_q(0.9, sys_for(0.5)) == pytest.approx(math.sqrt(1.0 - 0.4**2), rel=1e-15)
+    assert not isinstance(exc.value, RegimeError)
 
 
 def test_barrier_system_validation():

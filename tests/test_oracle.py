@@ -314,6 +314,16 @@ def test_region_currents_stay_finite_where_the_unscaled_coefficients_overflow():
     assert flux[4] == pytest.approx(abs(transmission(1.8, s)) ** 2, rel=1e-12)
 
 
+def test_unscaled_coefficients_overflow_silently_like_the_closed_form():
+    # q l = 763: F = x5 e^{ql} overflows in both forms; warnings are errors in this suite.
+    s = BarrierSystem(V0=1.5, a=0.7, l=800.0)
+    solved = tm_solve(1.8, s)
+    assert solved.F == region_coefficients(1.8, s).F
+    assert np.isfinite([solved.A, solved.B, solved.C, solved.D, solved.G, solved.T, solved.R]).all()
+    stacked = _oracle_stack(np.array([1.8, 1.8]), 1.5, 0.7, np.array([800.0, 0.7]))[0]
+    assert stacked.F[0] == solved.F
+
+
 def test_stacked_region_currents_equal_region_fluxes(random_grid_small):
     g = random_grid_small
     E, V0, a, l = (g[key][:40] for key in ("E", "V0", "a", "l"))

@@ -12,6 +12,8 @@ from dirac_tunneling import (
     RegimeError,
     amplitudes,
     bulk_amplitudes,
+    kinematics,
+    oracle,
     time_report,
     times,
 )
@@ -19,8 +21,8 @@ from dirac_tunneling.times import _bulk_nr_phase_time
 
 
 def _scalar_entries():
-    """Every public function of amplitudes/times taking (E or E_kin, system)."""
-    for module in (amplitudes, times):
+    """Every public function of kinematics/amplitudes/times/oracle taking (E or E_kin, system)."""
+    for module in (kinematics, amplitudes, times, oracle):
         for name in module.__all__:
             fn = getattr(module, name)
             if inspect.isfunction(fn):
@@ -32,7 +34,9 @@ def _scalar_entries():
 def test_scalar_entries_found():
     names = {fn.__name__ for fn in _scalar_entries()}
     assert {"transmission", "region_coefficients", "time_report",
-            "nonrelativistic_times", "opaque_limit_times"} <= names
+            "nonrelativistic_times", "opaque_limit_times",
+            "kinematic_point", "classify_regime", "tm_solve", "numeric_phase_time",
+            "dwell_integral", "region_fluxes"} <= names
 
 
 @pytest.mark.parametrize("fn", list(_scalar_entries()), ids=lambda fn: fn.__name__)
