@@ -105,11 +105,26 @@ def test_wavenumber_requires_energy_above_mass():
     assert exc.value.regime is Regime.BELOW_THRESHOLD
 
 
-@pytest.mark.parametrize("func", [kinematic_point, classify_regime])
+def wavenumber_k(E, system):
+    return kinematic_point(E, system).k
+
+
+def decay_q(E, system):
+    return kinematic_point(E, system).q
+
+
+@pytest.mark.parametrize("func", [wavenumber_k, decay_q])
 @pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
-def test_kinematics_reject_non_finite_energy(func, E):
+def test_partial_kinematics_reject_non_finite_energy(func, E):
     with pytest.raises(ValueError, match="E must be finite") as exc:
         func(E, sys_for(1.5))
+    assert not isinstance(exc.value, RegimeError)
+
+
+@pytest.mark.parametrize("E", [math.nan, math.inf, -math.inf])
+def test_classify_regime_rejects_non_finite_energy(E):
+    with pytest.raises(ValueError, match="E must be finite") as exc:
+        classify_regime(E, sys_for(1.5))
     assert not isinstance(exc.value, RegimeError)
 
 
